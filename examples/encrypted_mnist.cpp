@@ -1,7 +1,9 @@
 /**
  * @file
  * End-to-end encrypted inference of the FxHENN-MNIST network under the
- * paper's parameter set (N = 8192, L = 7, 30-bit primes, lambda = 128):
+ * paper's parameter set (N = 8192, L = 7, 30-bit primes; the paper
+ * labels it lambda = 128, which holds on log Q = 210 but not on the
+ * log QP = 260 the evaluation keys use):
  *
  *   1. compile the CNN to an HE plan (LoLa-style packing),
  *   2. encrypt a synthetic input image as 25 tap ciphertexts,

@@ -6,7 +6,6 @@
 #include "src/common/assert.hpp"
 #include "src/common/parallel.hpp"
 #include "src/modarith/simd_dispatch.hpp"
-#include "src/rns/lazy_accumulator.hpp"
 #include "src/robustness/fault_injection.hpp"
 #include "src/telemetry/telemetry.hpp"
 
@@ -219,16 +218,18 @@ Evaluator::decomposeKsw(const RnsPoly &d)
 {
     const RnsBasis &basis = context_.basis();
     const std::size_t level = d.level();
-    FXHENN_ASSERT(d.domain() == PolyDomain::coeff,
-                  "decomposition input must be in coefficient form");
+    FXHENN_ASSERT(d.domain() == PolyDomain::ntt,
+                  "decomposition input must be in NTT form");
     FXHENN_ASSERT(!d.hasSpecial(), "input must not carry the special limb");
     FXHENN_TELEM_COUNT("ckks.keyswitch.decompositions", 1);
 
+    RnsPoly coeff = d;
+    coeff.fromNtt();
     std::vector<RnsPoly> digits;
     digits.reserve(level);
     for (std::size_t i = 0; i < level; ++i)
         digits.emplace_back(basis, level, /*withSpecial=*/true,
-                            PolyDomain::coeff);
+                            PolyDomain::ntt);
 
     // One flat batch over every (digit, target limb) pair: extend limb
     // i of d into modulus j, then forward-NTT it there. All writes are
@@ -237,15 +238,22 @@ Evaluator::decomposeKsw(const RnsPoly &d)
     parallelFor(level * (level + 1), [&](std::size_t job) {
         const std::size_t i = job / (level + 1);
         const std::size_t j = job % (level + 1);
+        auto dst = digits[i].limb(j);
+        if (j == i) {
+            // Digit i under its own prime is the input limb itself:
+            // copy its NTT form instead of transforming it again.
+            const auto src = d.limb(i);
+            std::copy(src.begin(), src.end(), dst.begin());
+            return;
+        }
         const Modulus &qj =
             (j < level) ? basis.q(j) : basis.specialPrime();
         const NttTables &ntt_j =
             (j < level) ? basis.ntt(j) : basis.nttSpecial();
-        const auto src = d.limb(i);
-        auto dst = digits[i].limb(j);
-        if (j == i || basis.q(i).value() < qj.value()) {
-            // Same modulus, or q_i < q_j: the [0, q_i) representative
-            // is already canonical mod q_j.
+        const auto src = coeff.limb(i);
+        if (basis.q(i).value() < qj.value()) {
+            // q_i < q_j: the [0, q_i) representative is already
+            // canonical mod q_j.
             std::copy(src.begin(), src.end(), dst.begin());
         } else {
             // Fast (approximate) base extension: take the
@@ -259,8 +267,6 @@ Evaluator::decomposeKsw(const RnsPoly &d)
         }
         ntt_j.forward(dst);
     });
-    for (auto &digit : digits)
-        digit.setDomain(PolyDomain::ntt);
     return digits;
 }
 
@@ -296,23 +302,23 @@ Evaluator::keyswitchCore(const std::vector<RnsPoly> &digits,
         auto a0 = u0.limb(j);
         auto a1 = u1.limb(j);
         if (kswMode_ == KswMode::lazy) {
-            rns::LazyLimbAccumulator acc0(n);
-            rns::LazyLimbAccumulator acc1(n);
+            FXHENN_ASSERT(level <= qj.maxLazyDepth(),
+                          "digit count exceeds the 128-bit overflow "
+                          "budget for this modulus");
+            std::vector<const std::uint64_t *> e(level), s0(level),
+                s1(level);
             for (std::size_t i = 0; i < level; ++i) {
                 // Key limbs span all L data primes plus the special.
                 const RnsPoly &k0 = key.pairs[i].first;
-                const RnsPoly &k1 = key.pairs[i].second;
                 const std::size_t kj = (j < level) ? j : k0.level();
-                if (perm.empty()) {
-                    digits[i].fmaLazyInto(acc0, j, k0.limb(kj));
-                    digits[i].fmaLazyInto(acc1, j, k1.limb(kj));
-                } else {
-                    acc0.fmaGather(digits[i].limb(j), perm, k0.limb(kj));
-                    acc1.fmaGather(digits[i].limb(j), perm, k1.limb(kj));
-                }
+                e[i] = digits[i].limb(j).data();
+                s0[i] = k0.limb(kj).data();
+                s1[i] = key.pairs[i].second.limb(kj).data();
             }
-            acc0.reduceInto(a0, qj);
-            acc1.reduceInto(a1, qj);
+            FXHENN_TELEM_COUNT("modarith.simd.dispatches", 1);
+            simd::kernels().innerProduct(
+                a0.data(), a1.data(), e.data(), s0.data(), s1.data(),
+                level, perm.empty() ? nullptr : perm.data(), n, qj);
         } else {
             for (std::size_t i = 0; i < level; ++i) {
                 const RnsPoly &k0 = key.pairs[i].first;
@@ -336,22 +342,26 @@ Evaluator::keyswitchCore(const std::vector<RnsPoly> &digits,
         }
     });
 
-    // Exact scale-down by p (ModDown), back to NTT domain; the INTT
-    // and NTT sweeps of both accumulators run as one batch each.
-    std::array<RnsPoly *, 2> batch{&u0, &u1};
-    batchFromNtt(batch);
-    u0.modDownSpecial();
-    u1.modDownSpecial();
-    batchToNtt(batch);
+    // Exact scale-down by p (ModDown). The lazy path stays in the NTT
+    // domain (only the special limbs are inverse-transformed); eager
+    // keeps the coefficient-domain round trip as its reference.
+    if (kswMode_ == KswMode::eager) {
+        std::array<RnsPoly *, 2> batch{&u0, &u1};
+        batchFromNtt(batch);
+        u0.modDownSpecial();
+        u1.modDownSpecial();
+        batchToNtt(batch);
+    } else {
+        u0.modDownSpecial();
+        u1.modDownSpecial();
+    }
     return {std::move(u0), std::move(u1)};
 }
 
 std::pair<RnsPoly, RnsPoly>
-Evaluator::applyKsw(RnsPoly d, const KswKey &key)
+Evaluator::applyKsw(const RnsPoly &d, const KswKey &key)
 {
     FXHENN_TELEM_SCOPED_TIMER("ckks.time.keyswitch.ns");
-    if (d.domain() == PolyDomain::ntt)
-        d.fromNtt();
     return keyswitchCore(decomposeKsw(d), key, {});
 }
 
@@ -397,11 +407,8 @@ Evaluator::rescaleInplace(Ciphertext &a)
     FXHENN_TELEM_COUNT("ckks.limbs", a.level() * a.parts.size());
     const std::uint64_t q_last =
         context_.basis().q(a.level() - 1).value();
-    for (auto &part : a.parts) {
-        part.fromNtt();
+    for (auto &part : a.parts)
         part.rescaleLastPrime();
-        part.toNtt();
-    }
     a.scale /= static_cast<double>(q_last);
     if (fault && fault->kind == "bitflip")
         robustness::corruptResidues(a.parts[0], fault->seed);
@@ -456,9 +463,8 @@ Evaluator::rotate(const Ciphertext &a, int steps, const GaloisKeys &gk)
     FXHENN_FATAL_IF(!gk.has(elt),
                     "missing Galois key for requested rotation");
 
-    RnsPoly c1 = a.parts[1];
-    c1.fromNtt();
-    return rotateFromDigits(a, decomposeKsw(c1), elt, gk.keys.at(elt));
+    return rotateFromDigits(a, decomposeKsw(a.parts[1]), elt,
+                            gk.keys.at(elt));
 }
 
 std::vector<Ciphertext>
@@ -478,9 +484,7 @@ Evaluator::rotateHoisted(const Ciphertext &a,
     // Hoisted part (Halevi-Shoup): decompose + base-extend + NTT c1
     // once; every rotation of the group reuses the digits through its
     // own Galois gather.
-    RnsPoly c1 = a.parts[1];
-    c1.fromNtt();
-    const std::vector<RnsPoly> digits = decomposeKsw(c1);
+    const std::vector<RnsPoly> digits = decomposeKsw(a.parts[1]);
 
     std::vector<Ciphertext> out;
     out.reserve(steps.size());
@@ -509,9 +513,8 @@ Evaluator::conjugate(const Ciphertext &a, const GaloisKeys &gk)
     const std::uint64_t elt = context_.conjugateElt();
     FXHENN_FATAL_IF(!gk.has(elt), "missing conjugation key");
 
-    RnsPoly c1 = a.parts[1];
-    c1.fromNtt();
-    return rotateFromDigits(a, decomposeKsw(c1), elt, gk.keys.at(elt));
+    return rotateFromDigits(a, decomposeKsw(a.parts[1]), elt,
+                            gk.keys.at(elt));
 }
 
 } // namespace fxhenn::ckks

@@ -53,18 +53,20 @@ struct OpCounts
 };
 
 /**
- * Keyswitch inner-product reduction strategy.
+ * Keyswitch strategy.
  *
- * lazy (the default) accumulates the digit inner product in 128-bit
- * lanes and Barrett-reduces once per limb (Modulus::reduceWide);
- * eager reduces every FMA like the original implementation. Both land
- * on the canonical representative in [0, q) for every coefficient, so
- * the two modes are bitwise identical — eager exists as the reference
- * side of that differential.
+ * lazy (the default) runs the digit inner product through the fused
+ * simd::Kernels::innerProduct entry, which holds each coefficient's
+ * unreduced digit sum in registers and reduces it once, and performs
+ * ModDown in the NTT domain. eager reduces every FMA like the original
+ * implementation and performs ModDown with a coefficient-domain round
+ * trip. Both land on the canonical representative in [0, q) for every
+ * coefficient, so the two modes are bitwise identical — eager exists
+ * as the reference side of that differential.
  */
 enum class KswMode {
-    eager, ///< reduce every FMA (reference path)
-    lazy,  ///< 128-bit deferred reduction, once per limb
+    eager, ///< reduce every FMA, coefficient-domain ModDown (reference)
+    lazy,  ///< fused inner product, NTT-domain ModDown
 };
 
 /**
@@ -177,11 +179,12 @@ class Evaluator
 
   private:
     /**
-     * ModUp half of the hybrid key switch: decompose coefficient-domain
-     * @p d (level L, no special limb) into L digits, each base-extended
-     * to Q*p and NTT'd — one parallelFor over all L*(L+1) (digit, limb)
-     * jobs. A rotation group shares one decomposition across all its
-     * members (Halevi-Shoup hoisting).
+     * ModUp half of the hybrid key switch: decompose NTT-domain @p d
+     * (level L, no special limb) into L digits, each base-extended to
+     * Q*p and NTT'd — one parallelFor over all L*(L+1) (digit, limb)
+     * jobs, where digit i under its own prime q_i is a copy of d's NTT
+     * limb (L transforms fewer). A rotation group shares one
+     * decomposition across all its members (Halevi-Shoup hoisting).
      */
     std::vector<RnsPoly> decomposeKsw(const RnsPoly &d);
 
@@ -196,11 +199,12 @@ class Evaluator
                   std::span<const std::uint32_t> perm);
 
     /**
-     * Hybrid key switch: given poly @p d decrypting under s', produce
-     * NTT-domain (u0, u1) decrypting the same value under s (up to
-     * ModDown noise).
+     * Hybrid key switch: given NTT-domain poly @p d decrypting under
+     * s', produce NTT-domain (u0, u1) decrypting the same value under
+     * s (up to ModDown noise).
      */
-    std::pair<RnsPoly, RnsPoly> applyKsw(RnsPoly d, const KswKey &key);
+    std::pair<RnsPoly, RnsPoly> applyKsw(const RnsPoly &d,
+                                         const KswKey &key);
 
     /** One rotation of @p a from an already-hoisted decomposition. */
     Ciphertext rotateFromDigits(const Ciphertext &a,

@@ -23,33 +23,54 @@ CkksParams::validate() const
     FXHENN_FATAL_IF(sigma <= 0.0, "sigma must be positive");
 }
 
+namespace {
+
+/** Max log2(Q*P) per the homomorphic encryption standard table
+ * (ternary secret, classical attacks), per ring degree. */
+struct SecurityRow
+{
+    std::uint64_t n;
+    double l128, l192, l256;
+};
+
+constexpr SecurityRow kSecurityTable[] = {
+    {1024, 27, 19, 14},     {2048, 54, 37, 29},
+    {4096, 109, 75, 58},    {8192, 218, 152, 118},
+    {16384, 438, 305, 237}, {32768, 881, 611, 476},
+};
+
+const SecurityRow *
+securityRow(std::uint64_t n)
+{
+    for (const auto &row : kSecurityTable)
+        if (row.n == n)
+            return &row;
+    return nullptr;
+}
+
+} // namespace
+
 unsigned
 CkksParams::securityLevel() const
 {
-    // Max log2(Q*P) per the homomorphic encryption standard table
-    // (ternary secret, classical attacks), per ring degree.
-    struct Row { std::uint64_t n; double l128, l192, l256; };
-    static constexpr Row table[] = {
-        {1024, 27, 19, 14},    {2048, 54, 37, 29},
-        {4096, 109, 75, 58},   {8192, 218, 152, 118},
-        {16384, 438, 305, 237}, {32768, 881, 611, 476},
-    };
-    // Assess the data modulus Q only, matching how the paper reports
-    // lambda for its parameter sets (Table VII lists Q = 210 bits at
-    // lambda = 128 for N = 8192, which already saturates the budget).
-    const double log_qp = logQ();
-    for (const auto &row : table) {
-        if (row.n == n) {
-            if (log_qp <= row.l256)
-                return 256;
-            if (log_qp <= row.l192)
-                return 192;
-            if (log_qp <= row.l128)
-                return 128;
-            return 0;
-        }
-    }
-    return 0; // degrees outside the table: report unknown/insecure
+    const SecurityRow *row = securityRow(n);
+    if (!row)
+        return 0; // degrees outside the table: report unknown/insecure
+    const double log_qp = logQP();
+    if (log_qp <= row->l256)
+        return 256;
+    if (log_qp <= row->l192)
+        return 192;
+    if (log_qp <= row->l128)
+        return 128;
+    return 0;
+}
+
+double
+CkksParams::maxLogQP128() const
+{
+    const SecurityRow *row = securityRow(n);
+    return row ? row->l128 : 0.0;
 }
 
 std::string
@@ -58,7 +79,10 @@ CkksParams::describe() const
     std::ostringstream oss;
     oss << "CKKS(N=" << n << ", L=" << levels << ", q=" << qBits
         << "b, p=" << specialBits << "b, logQ=" << logQ()
-        << ", lambda=" << securityLevel() << ")";
+        << ", logQP=" << logQP() << ", lambda=" << securityLevel();
+    if (lambdaLabel != 0)
+        oss << ", paper label lambda=" << lambdaLabel;
+    oss << ")";
     return oss.str();
 }
 
@@ -71,6 +95,7 @@ mnistParams()
     p.levels = 7;
     p.specialBits = 50;
     p.scale = double(1 << 30);
+    p.lambdaLabel = 128;
     return p;
 }
 
@@ -83,6 +108,7 @@ cifar10Params()
     p.levels = 7;
     p.specialBits = 50;
     p.scale = 68719476736.0; // 2^36
+    p.lambdaLabel = 192;
     return p;
 }
 

@@ -23,6 +23,11 @@ Modulus::Modulus(std::uint64_t value)
         ~static_cast<unsigned __int128>(0) / value_;
     mu128Hi_ = static_cast<std::uint64_t>(mu128 >> 64);
     mu128Lo_ = static_cast<std::uint64_t>(mu128);
+    const std::uint64_t two52 = std::uint64_t{1} << 52;
+    radix52_ = two52 % value_;
+    radix52Shoup_ = static_cast<std::uint64_t>(
+        (static_cast<unsigned __int128>(radix52_) << 52) / value_);
+    unitShoup52_ = two52 / value_;
 }
 
 std::uint64_t

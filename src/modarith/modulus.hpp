@@ -193,10 +193,13 @@ class Modulus
         return value_ == other.value_;
     }
 
-    // --- raw Barrett constants for the SIMD kernel translation units
+    // --- raw constants for the SIMD kernel translation units
     // (src/modarith/simd_kernels_*.cpp), which re-derive reduce(),
     // reduceWide() and mulShoup() lane-wise from the same constants so
     // the vector paths stay bitwise identical to the methods above.
+    // The radix-2^52 constants serve the IFMA kernels, which split a
+    // value as hi * 2^52 + lo and reduce both halves with 52-bit Shoup
+    // multiplies (meaningful for q < 2^50, the IFMA datapath).
 
     /** floor(2^(2*bits) / q), the reduce() Barrett constant. */
     std::uint64_t barrettMu() const { return mu_; }
@@ -204,12 +207,21 @@ class Modulus
     std::uint64_t wideMuHi() const { return mu128Hi_; }
     /** Lower 64 bits of floor(2^128 / q) (reduceWide() constant). */
     std::uint64_t wideMuLo() const { return mu128Lo_; }
+    /** 2^52 mod q: folds the high half of a 104-bit IFMA sum. */
+    std::uint64_t radix52() const { return radix52_; }
+    /** floor(radix52() * 2^52 / q), its 52-bit Shoup constant. */
+    std::uint64_t radix52Shoup() const { return radix52Shoup_; }
+    /** floor(2^52 / q), the 52-bit Shoup constant of 1. */
+    std::uint64_t unitShoup52() const { return unitShoup52_; }
 
   private:
     std::uint64_t value_ = 0;
     std::uint64_t mu_ = 0; ///< floor(2^(2*bits) / q) Barrett constant
     std::uint64_t mu128Hi_ = 0; ///< floor(2^128 / q), upper 64 bits
     std::uint64_t mu128Lo_ = 0; ///< floor(2^128 / q), lower 64 bits
+    std::uint64_t radix52_ = 0;      ///< 2^52 mod q
+    std::uint64_t radix52Shoup_ = 0; ///< floor(radix52_ * 2^52 / q)
+    std::uint64_t unitShoup52_ = 0;  ///< floor(2^52 / q)
     unsigned bits_ = 0;
 };
 

@@ -4,9 +4,10 @@
  *
  * The software analogue of widening the paper's modular-multiply
  * datapath: every kernel that dominates encrypted inference (NTT
- * butterflies, Barrett/Shoup modmul sweeps, the 128-bit lazy keyswitch
- * inner product) is routed through a table of function pointers chosen
- * once at startup. Two implementations exist:
+ * butterflies, Barrett/Shoup modmul sweeps, the fused keyswitch digit
+ * inner product, the ModDown/rescale drop-limb sweeps) is routed
+ * through a table of function pointers chosen once at startup. Three
+ * implementations exist:
  *
  *  - scalar: the original loops, moved verbatim into
  *    simd_kernels_scalar.cpp. This is the bitwise reference — the
@@ -19,10 +20,11 @@
  *    outputs are bitwise identical.
  *  - avx512: 8-lane AVX-512 kernels (simd_kernels_avx512.cpp, compiled
  *    with -mavx512f/-mavx512ifma/... for that TU only). The NTT
- *    butterflies run Harvey-style lazy arithmetic on vpmadd52
- *    (52-bit IFMA) with a canonicalizing final pass, so outputs stay
- *    bitwise identical to scalar; moduli too wide for the 52-bit
- *    datapath (q >= 2^50, e.g. 60-bit special primes) delegate that
+ *    butterflies, the digit inner product and the multiply/reduce/
+ *    drop-limb sweeps run on vpmadd52 (52-bit IFMA) and canonicalize
+ *    their outputs, so they stay bitwise identical to scalar; moduli
+ *    too wide for the 52-bit datapath (q >= 2^50, e.g. 60-bit special
+ *    primes) and inner products of more than 15 digits delegate that
  *    call to the avx2 kernel.
  *
  * Selection contract (resolveLevel() is the pure, unit-testable core):
@@ -159,21 +161,34 @@ struct Kernels
     void (*reduceArray)(std::uint64_t *dst, const std::uint64_t *src,
                         std::size_t n, const Modulus &q);
 
-    /** acc[k] += a[k] * b[k], unreduced 128-bit lanes (the lazy
-     * keyswitch inner product). */
-    void (*fmaLazy)(unsigned __int128 *acc, const std::uint64_t *a,
-                    const std::uint64_t *b, std::size_t n);
+    /**
+     * The keyswitch digit inner product against a two-part key,
+     * reduced once per coefficient:
+     *     dst0[k] = sum_{i<digits} a[i][p(k)] * b0[i][k]  mod q
+     *     dst1[k] = sum_{i<digits} a[i][p(k)] * b1[i][k]  mod q
+     * with p(k) = perm[k] (the NTT-domain Galois gather of a rotation)
+     * or k when perm is null. The unreduced digit sum never leaves
+     * registers. Requires operands < q and digits <= q.maxLazyDepth().
+     */
+    void (*innerProduct)(std::uint64_t *dst0, std::uint64_t *dst1,
+                         const std::uint64_t *const *a,
+                         const std::uint64_t *const *b0,
+                         const std::uint64_t *const *b1,
+                         std::size_t digits, const std::uint32_t *perm,
+                         std::size_t n, const Modulus &q);
 
-    /** acc[k] += a[perm[k]] * b[k] (hoisted-rotation gather FMA). */
-    void (*fmaLazyGather)(unsigned __int128 *acc, const std::uint64_t *a,
-                          const std::uint32_t *perm,
-                          const std::uint64_t *b, std::size_t n);
+    /** dst[k] = centered(src[k]) mod q, where centered() maps a
+     * residue mod the dropped prime p (src[k] < p) to (-p/2, p/2] —
+     * the first half of a divide-and-round by p (ModDown, rescale). */
+    void (*centerLimb)(std::uint64_t *dst, const std::uint64_t *src,
+                       std::size_t n, const Modulus &q, const Modulus &p);
 
-    /** dst[k] = acc[k] mod q via reduceWide() — the single deferred
-     * reduction closing a lazy accumulation. */
-    void (*reduceWideArray)(std::uint64_t *dst,
-                            const unsigned __int128 *acc, std::size_t n,
-                            const Modulus &q);
+    /** dst[k] = (dst[k] - r[k]) * s mod q with sShoup =
+     * q.shoupConstant(s) — the second half of a divide-and-round:
+     * subtract the centered dropped limb, multiply by p^-1 mod q. */
+    void (*dropLimb)(std::uint64_t *dst, const std::uint64_t *r,
+                     std::size_t n, const Modulus &q, std::uint64_t s,
+                     std::uint64_t sShoup);
 };
 
 /** The table for activeLevel() — what every hot-path site dispatches

@@ -22,7 +22,7 @@
 #include <immintrin.h>
 
 #include "src/modarith/ntt.hpp"
-#include "src/modarith/simd_dispatch.hpp"
+#include "src/modarith/simd_kernels_internal.hpp"
 
 namespace fxhenn::simd {
 namespace {
@@ -333,74 +333,55 @@ reduceArrayAvx2(std::uint64_t *dst, const std::uint64_t *src,
         dst[k] = q.reduce(src[k]);
 }
 
-// --- 128-bit lazy keyswitch inner product -------------------------------
+// --- keyswitch inner product and drop-limb sweeps -----------------------
 
-/**
- * Add the 4-lane 128-bit products (lo, hi) into acc[k0..k0+3]. The
- * accumulator memory layout is little-endian u128 = interleaved
- * [lo0, hi0, lo1, hi1, ...] u64 words; each __m256i holds two u128
- * values, so the products are shuffled into that interleave and added
- * with an explicit lane0->lane1 / lane2->lane3 carry.
- */
+/** x mod q for the 128-bit lanes (xl, xh), exactly as
+ * Modulus::reduceWide() computes it (schoolbook upper half of
+ * x * floor(2^128 / q), then one conditional subtraction). */
+inline __m256i
+reduceWide(__m256i xl, __m256i xh, __m256i qv, __m256i muLo,
+           __m256i muHi)
+{
+    // t = floor(x * mu128 / 2^128) mod 2^64.
+    const __m256i hiLl = mulHi64(xl, muLo);
+    __m256i loLh, hiLh;
+    mul64(xl, muHi, loLh, hiLh);
+    __m256i loHl, hiHl;
+    mul64(xh, muLo, loHl, hiHl);
+    const __m256i loHh = mulLo64(xh, muHi);
+
+    const __m256i s1 = _mm256_add_epi64(hiLl, loLh);
+    const __m256i c1 = cmpGtU64(loLh, s1); // mid carry 1
+    const __m256i s2 = _mm256_add_epi64(s1, loHl);
+    const __m256i c2 = cmpGtU64(loHl, s2); // mid carry 2
+
+    __m256i t = _mm256_add_epi64(_mm256_add_epi64(loHh, hiLh), hiHl);
+    t = _mm256_sub_epi64(t, c1); // masks are -1: subtract == +1
+    t = _mm256_sub_epi64(t, c2);
+
+    const __m256i r = _mm256_sub_epi64(xl, mulLo64(t, qv));
+    return csub(r, qv);
+}
+
+/** (accLo, accHi) += x * y as 128-bit lanes, with explicit carry. */
 inline void
-accumulate128(unsigned __int128 *acc, std::size_t k0, __m256i lo,
-              __m256i hi)
+accumulate128(__m256i &accLo, __m256i &accHi, __m256i x, __m256i y)
 {
-    __m256i *mem = reinterpret_cast<__m256i *>(acc + k0);
-    const __m256i v1 = _mm256_unpacklo_epi64(lo, hi); // [l0 h0 l2 h2]
-    const __m256i v2 = _mm256_unpackhi_epi64(lo, hi); // [l1 h1 l3 h3]
-    const __m256i p = _mm256_permute2x128_si256(v1, v2, 0x20);
-    const __m256i r = _mm256_permute2x128_si256(v1, v2, 0x31);
-    for (int half = 0; half < 2; ++half) {
-        const __m256i add = half == 0 ? p : r;
-        const __m256i cur = _mm256_loadu_si256(mem + half);
-        const __m256i sum = _mm256_add_epi64(cur, add);
-        // Carry out of the lo words (lanes 0, 2): sum < add unsigned.
-        const __m256i carry = cmpGtU64(add, sum);
-        // Shift each 128-bit lane left 8 bytes: the lo-lane carry mask
-        // lands on the hi word; hi-lane comparison garbage shifts out.
-        const __m256i carryHi = _mm256_slli_si256(carry, 8);
-        _mm256_storeu_si256(mem + half,
-                            _mm256_sub_epi64(sum, carryHi));
-    }
+    __m256i lo, hi;
+    mul64(x, y, lo, hi);
+    accLo = _mm256_add_epi64(accLo, lo);
+    // Carry out of the lo word: the new sum is below the addend.
+    const __m256i carry = cmpGtU64(lo, accLo);
+    accHi = _mm256_sub_epi64(_mm256_add_epi64(accHi, hi), carry);
 }
 
 void
-fmaLazyAvx2(unsigned __int128 *acc, const std::uint64_t *a,
-            const std::uint64_t *b, std::size_t n)
-{
-    std::size_t k = 0;
-    for (; k + 4 <= n; k += 4) {
-        __m256i lo, hi;
-        mul64(loadU64(a + k), loadU64(b + k), lo, hi);
-        accumulate128(acc, k, lo, hi);
-    }
-    for (; k < n; ++k)
-        acc[k] += static_cast<unsigned __int128>(a[k]) * b[k];
-}
-
-void
-fmaLazyGatherAvx2(unsigned __int128 *acc, const std::uint64_t *a,
-                  const std::uint32_t *perm, const std::uint64_t *b,
-                  std::size_t n)
-{
-    std::size_t k = 0;
-    for (; k + 4 <= n; k += 4) {
-        const __m128i idx = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(perm + k));
-        const __m256i va = _mm256_i32gather_epi64(
-            reinterpret_cast<const long long *>(a), idx, 8);
-        __m256i lo, hi;
-        mul64(va, loadU64(b + k), lo, hi);
-        accumulate128(acc, k, lo, hi);
-    }
-    for (; k < n; ++k)
-        acc[k] += static_cast<unsigned __int128>(a[perm[k]]) * b[k];
-}
-
-void
-reduceWideArrayAvx2(std::uint64_t *dst, const unsigned __int128 *acc,
-                    std::size_t n, const Modulus &q)
+innerProductAvx2(std::uint64_t *dst0, std::uint64_t *dst1,
+                 const std::uint64_t *const *a,
+                 const std::uint64_t *const *b0,
+                 const std::uint64_t *const *b1, std::size_t digits,
+                 const std::uint32_t *perm, std::size_t n,
+                 const Modulus &q)
 {
     const __m256i qv =
         _mm256_set1_epi64x(static_cast<long long>(q.value()));
@@ -408,42 +389,80 @@ reduceWideArrayAvx2(std::uint64_t *dst, const unsigned __int128 *acc,
         _mm256_set1_epi64x(static_cast<long long>(q.wideMuLo()));
     const __m256i muHi =
         _mm256_set1_epi64x(static_cast<long long>(q.wideMuHi()));
+    const __m256i zero = _mm256_setzero_si256();
     std::size_t k = 0;
     for (; k + 4 <= n; k += 4) {
-        // De-interleave two registers of [lo, hi] u128 words into
-        // xl = [l0..l3], xh = [h0..h3].
-        const __m256i v1 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(acc + k));
-        const __m256i v2 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(acc + k + 2));
-        const __m256i aPair = _mm256_permute2x128_si256(v1, v2, 0x20);
-        const __m256i bPair = _mm256_permute2x128_si256(v1, v2, 0x31);
-        const __m256i xl = _mm256_unpacklo_epi64(aPair, bPair);
-        const __m256i xh = _mm256_unpackhi_epi64(aPair, bPair);
+        __m128i idx = _mm_setzero_si128();
+        if (perm)
+            idx = _mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(perm + k));
+        __m256i lo0 = zero, hi0 = zero, lo1 = zero, hi1 = zero;
+        for (std::size_t i = 0; i < digits; ++i) {
+            const __m256i x =
+                perm ? _mm256_i32gather_epi64(
+                           reinterpret_cast<const long long *>(a[i]),
+                           idx, 8)
+                     : loadU64(a[i] + k);
+            accumulate128(lo0, hi0, x, loadU64(b0[i] + k));
+            accumulate128(lo1, hi1, x, loadU64(b1[i] + k));
+        }
+        storeU64(dst0 + k, reduceWide(lo0, hi0, qv, muLo, muHi));
+        storeU64(dst1 + k, reduceWide(lo1, hi1, qv, muLo, muHi));
+    }
+    detail::innerProductRange(dst0, dst1, a, b0, b1, digits, perm, k, n,
+                              q);
+}
 
-        // t = floor(x * mu128 / 2^128) mod 2^64, exactly as
-        // Modulus::reduceWide() computes it (schoolbook upper half).
-        const __m256i hiLl = mulHi64(xl, muLo);
-        __m256i loLh, hiLh;
-        mul64(xl, muHi, loLh, hiLh);
-        __m256i loHl, hiHl;
-        mul64(xh, muLo, loHl, hiHl);
-        const __m256i loHh = mulLo64(xh, muHi);
+void
+centerLimbAvx2(std::uint64_t *dst, const std::uint64_t *src,
+               std::size_t n, const Modulus &q, const Modulus &p)
+{
+    const std::uint64_t half = p.value() / 2;
+    const std::uint64_t pModQ = p.value() % q.value();
+    std::size_t k = 0;
+    // Barrett needs src < 2^(2*q.bits()); wider dropped primes take
+    // the scalar division loop below.
+    if (p.bits() < 2 * q.bits()) {
+        const BarrettVec bar(q);
+        const __m256i zero = _mm256_setzero_si256();
+        const __m256i halfv =
+            _mm256_set1_epi64x(static_cast<long long>(half));
+        const __m256i shift =
+            _mm256_set1_epi64x(static_cast<long long>(q.value() - pModQ));
+        for (; k + 4 <= n; k += 4) {
+            const __m256i x = loadU64(src + k);
+            const __m256i res = bar.reduce(x, zero);
+            const __m256i neg =
+                csub(_mm256_add_epi64(res, shift), bar.q_);
+            storeU64(dst + k, _mm256_blendv_epi8(res, neg,
+                                                 cmpGtU64(x, halfv)));
+        }
+    }
+    for (; k < n; ++k) {
+        const std::uint64_t res = src[k] % q.value();
+        dst[k] = src[k] > half ? q.sub(res, pModQ) : res;
+    }
+}
 
-        const __m256i s1 = _mm256_add_epi64(hiLl, loLh);
-        const __m256i c1 = cmpGtU64(loLh, s1); // mid carry 1
-        const __m256i s2 = _mm256_add_epi64(s1, loHl);
-        const __m256i c2 = cmpGtU64(loHl, s2); // mid carry 2
-
-        __m256i t = _mm256_add_epi64(_mm256_add_epi64(loHh, hiLh), hiHl);
-        t = _mm256_sub_epi64(t, c1); // masks are -1: subtract == +1
-        t = _mm256_sub_epi64(t, c2);
-
-        const __m256i r = _mm256_sub_epi64(xl, mulLo64(t, qv));
-        storeU64(dst + k, csub(r, qv));
+void
+dropLimbAvx2(std::uint64_t *dst, const std::uint64_t *r, std::size_t n,
+             const Modulus &q, std::uint64_t s, std::uint64_t sShoup)
+{
+    const __m256i qv =
+        _mm256_set1_epi64x(static_cast<long long>(q.value()));
+    const __m256i sv = _mm256_set1_epi64x(static_cast<long long>(s));
+    const __m256i ssv =
+        _mm256_set1_epi64x(static_cast<long long>(sShoup));
+    std::size_t k = 0;
+    for (; k + 4 <= n; k += 4) {
+        const __m256i d = csub(
+            _mm256_add_epi64(
+                _mm256_sub_epi64(loadU64(dst + k), loadU64(r + k)), qv),
+            qv);
+        storeU64(dst + k, shoupMulVec(d, sv, ssv, qv));
     }
     for (; k < n; ++k)
-        dst[k] = q.reduceWide(acc[k]);
+        dst[k] = q.mulShoup(q.sub(dst[k], r[k]), s, sShoup);
 }
 
 } // namespace
@@ -463,9 +482,9 @@ avx2Kernels()
         &mulArrayAvx2,
         &fmaModArrayAvx2,
         &reduceArrayAvx2,
-        &fmaLazyAvx2,
-        &fmaLazyGatherAvx2,
-        &reduceWideArrayAvx2,
+        &innerProductAvx2,
+        &centerLimbAvx2,
+        &dropLimbAvx2,
     };
     return table;
 }

@@ -3,21 +3,30 @@
  * AVX-512 (IFMA) modular-arithmetic kernels — 8 lanes of 64-bit
  * residues per vector op.
  *
- * The NTT butterflies here are the software analogue of the paper's
- * widened modular-multiply datapath: vpmadd52{lo,hi} gives eight
- * exact 52x52->104-bit multiply-adds per instruction, so the Shoup
- * multiply runs on a 52-bit word (W' = floor(W*2^52/q), derived from
- * the stored 64-bit Shoup constant by >> 12) with Harvey's lazy
- * bounds: butterfly operands stay in [0, 4q) (forward) / [0, 2q)
- * (inverse) and a final pass canonicalizes to [0, q). Because every
- * intermediate is an exactly-determined integer and the final values
- * are canonical residues, the output array is bitwise identical to
- * the scalar reference (tests/modarith/test_simd_differential.cpp).
+ * The software analogue of the paper's widened modular-multiply
+ * datapath: vpmadd52{lo,hi} gives eight exact 52x52->104-bit
+ * multiply-adds per instruction. Three uses:
+ *
+ *  - NTT butterflies run the Shoup multiply on a 52-bit word
+ *    (W' = floor(W*2^52/q), derived from the stored 64-bit Shoup
+ *    constant by >> 12) with Harvey's lazy bounds: operands stay in
+ *    [0, 4q) (forward) / [0, 2q) (inverse) and a final pass
+ *    canonicalizes to [0, q).
+ *  - The keyswitch inner product accumulates the lo and hi 52-bit
+ *    halves of every digit product in registers, then reduces once.
+ *  - mulArray, reduceArray and centerLimb split a value as
+ *    hi * 2^52 + lo and reduce both halves with 52-bit Shoup
+ *    multiplies (Ifma::reduce); dropLimb is one 52-bit Shoup multiply.
+ *
+ * Every kernel ends on the canonical residue, so the output array is
+ * bitwise identical to the scalar reference
+ * (tests/modarith/test_simd_differential.cpp).
  *
  * Datapath limit: the lazy bound 4q < 2^52 requires q < 2^50. CKKS
  * data primes are capped at 50 bits (CkksParams::validate), but
- * special primes may reach 60 bits; calls with q >= 2^50 delegate to
- * the avx2 kernel, which has no width limit.
+ * special primes may reach 60 bits; calls with q >= 2^50 (and inner
+ * products of more than 15 digits) delegate to the avx2 kernel, which
+ * has no width limit.
  *
  * Butterfly stages whose stride t is below the 8-lane width are
  * deinterleaved with permutex2var shuffles so they stay vector (one
@@ -348,6 +357,182 @@ nttInverseAvx512(std::uint64_t *a, std::uint64_t n, const std::uint64_t *w,
     }
 }
 
+// --- radix-2^52 reduction and the array kernels --------------------------
+
+/** Broadcast IFMA constants of one Modulus (q < 2^50). */
+struct Ifma
+{
+    explicit Ifma(const Modulus &m)
+        : q(_mm512_set1_epi64(static_cast<long long>(m.value()))),
+          q2(_mm512_set1_epi64(static_cast<long long>(2 * m.value()))),
+          m52(_mm512_set1_epi64(static_cast<long long>(kMask52))),
+          radix(_mm512_set1_epi64(static_cast<long long>(m.radix52()))),
+          radixShoup(_mm512_set1_epi64(
+              static_cast<long long>(m.radix52Shoup()))),
+          unitShoup(_mm512_set1_epi64(
+              static_cast<long long>(m.unitShoup52())))
+    {}
+
+    /**
+     * (hi * 2^52 + lo) mod q, canonical, for hi + (lo >> 52) < 2^52:
+     * lo's bits above 52 carry into hi, then hi * (2^52 mod q) and lo
+     * each take one 52-bit Shoup multiply into [0, 2q), and their sum
+     * (< 4q < 2^52) takes two conditional subtractions.
+     */
+    __m512i
+    reduce(__m512i hi, __m512i lo) const
+    {
+        hi = _mm512_add_epi64(hi, _mm512_srli_epi64(lo, 52));
+        lo = _mm512_and_si512(lo, m52);
+        const __m512i rHi = shoup52(hi, radix, radixShoup, q, m52);
+        const __m512i rLo = _mm512_sub_epi64(
+            lo, mul52lo(mul52hi(lo, unitShoup), q));
+        return csub(csub(_mm512_add_epi64(rHi, rLo), q2), q);
+    }
+
+    __m512i q, q2, m52, radix, radixShoup, unitShoup;
+};
+
+/**
+ * Digit count the IFMA inner product holds exactly: each product of
+ * residues below 2^50 contributes a high half below 2^48, so 15 of
+ * them (plus the low-half carries) keep the high sum below 2^52.
+ */
+constexpr std::size_t kMaxIfmaDigits = 15;
+
+void
+innerProductAvx512(std::uint64_t *dst0, std::uint64_t *dst1,
+                   const std::uint64_t *const *a,
+                   const std::uint64_t *const *b0,
+                   const std::uint64_t *const *b1, std::size_t digits,
+                   const std::uint32_t *perm, std::size_t n,
+                   const Modulus &q)
+{
+    if (tooWide(q.value()) || digits > kMaxIfmaDigits) {
+        detail::avx2Kernels().innerProduct(dst0, dst1, a, b0, b1, digits,
+                                           perm, n, q);
+        return;
+    }
+    const Ifma c(q);
+    const __m512i zero = _mm512_setzero_si512();
+    std::size_t k = 0;
+    for (; k + 8 <= n; k += 8) {
+        __m256i idx = _mm256_setzero_si256();
+        if (perm)
+            idx = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(perm + k));
+        // The digit sum as exact lo/hi 52-bit halves of each product.
+        __m512i lo0 = zero, hi0 = zero, lo1 = zero, hi1 = zero;
+        for (std::size_t i = 0; i < digits; ++i) {
+            const __m512i x =
+                perm ? _mm512_i32gather_epi64(idx, a[i], 8)
+                     : loadU64(a[i] + k);
+            const __m512i y0 = loadU64(b0[i] + k);
+            const __m512i y1 = loadU64(b1[i] + k);
+            lo0 = _mm512_madd52lo_epu64(lo0, x, y0);
+            hi0 = _mm512_madd52hi_epu64(hi0, x, y0);
+            lo1 = _mm512_madd52lo_epu64(lo1, x, y1);
+            hi1 = _mm512_madd52hi_epu64(hi1, x, y1);
+        }
+        storeU64(dst0 + k, c.reduce(hi0, lo0));
+        storeU64(dst1 + k, c.reduce(hi1, lo1));
+    }
+    detail::innerProductRange(dst0, dst1, a, b0, b1, digits, perm, k, n,
+                              q);
+}
+
+void
+mulArrayAvx512(std::uint64_t *dst, const std::uint64_t *a,
+               const std::uint64_t *b, std::size_t n, const Modulus &q)
+{
+    if (tooWide(q.value())) {
+        detail::avx2Kernels().mulArray(dst, a, b, n, q);
+        return;
+    }
+    const Ifma c(q);
+    std::size_t k = 0;
+    for (; k + 8 <= n; k += 8) {
+        const __m512i x = loadU64(a + k);
+        const __m512i y = loadU64(b + k);
+        storeU64(dst + k, c.reduce(mul52hi(x, y), mul52lo(x, y)));
+    }
+    for (; k < n; ++k)
+        dst[k] = q.mul(a[k], b[k]);
+}
+
+void
+reduceArrayAvx512(std::uint64_t *dst, const std::uint64_t *src,
+                  std::size_t n, const Modulus &q)
+{
+    if (tooWide(q.value())) {
+        detail::avx2Kernels().reduceArray(dst, src, n, q);
+        return;
+    }
+    const Ifma c(q);
+    std::size_t k = 0;
+    for (; k + 8 <= n; k += 8) {
+        const __m512i x = loadU64(src + k);
+        storeU64(dst + k, c.reduce(_mm512_srli_epi64(x, 52),
+                                   _mm512_and_si512(x, c.m52)));
+    }
+    for (; k < n; ++k)
+        dst[k] = q.reduce(src[k]);
+}
+
+void
+centerLimbAvx512(std::uint64_t *dst, const std::uint64_t *src,
+                 std::size_t n, const Modulus &q, const Modulus &p)
+{
+    if (tooWide(q.value())) {
+        detail::avx2Kernels().centerLimb(dst, src, n, q, p);
+        return;
+    }
+    const Ifma c(q);
+    const std::uint64_t half = p.value() / 2;
+    const std::uint64_t pModQ = p.value() % q.value();
+    const __m512i halfv = _mm512_set1_epi64(static_cast<long long>(half));
+    const __m512i shift =
+        _mm512_set1_epi64(static_cast<long long>(q.value() - pModQ));
+    std::size_t k = 0;
+    for (; k + 8 <= n; k += 8) {
+        const __m512i x = loadU64(src + k);
+        const __m512i res = c.reduce(_mm512_srli_epi64(x, 52),
+                                     _mm512_and_si512(x, c.m52));
+        // Residues above p/2 stand for x - p: subtract p mod q.
+        const __m512i neg = csub(_mm512_add_epi64(res, shift), c.q);
+        storeU64(dst + k, _mm512_mask_blend_epi64(
+                              _mm512_cmpgt_epu64_mask(x, halfv), res, neg));
+    }
+    for (; k < n; ++k) {
+        const std::uint64_t res = src[k] % q.value();
+        dst[k] = src[k] > half ? q.sub(res, pModQ) : res;
+    }
+}
+
+void
+dropLimbAvx512(std::uint64_t *dst, const std::uint64_t *r, std::size_t n,
+               const Modulus &q, std::uint64_t s, std::uint64_t sShoup)
+{
+    if (tooWide(q.value())) {
+        detail::avx2Kernels().dropLimb(dst, r, n, q, s, sShoup);
+        return;
+    }
+    const Ifma c(q);
+    const __m512i sv = _mm512_set1_epi64(static_cast<long long>(s));
+    const __m512i spv =
+        _mm512_set1_epi64(static_cast<long long>(sShoup >> 12));
+    std::size_t k = 0;
+    for (; k + 8 <= n; k += 8) {
+        const __m512i d = csub(
+            _mm512_add_epi64(
+                _mm512_sub_epi64(loadU64(dst + k), loadU64(r + k)), c.q),
+            c.q);
+        storeU64(dst + k, csub(shoup52(d, sv, spv, c.q, c.m52), c.q));
+    }
+    for (; k < n; ++k)
+        dst[k] = q.mulShoup(q.sub(dst[k], r[k]), s, sShoup);
+}
+
 } // namespace
 
 namespace detail {
@@ -355,16 +540,19 @@ namespace detail {
 const Kernels &
 avx512Kernels()
 {
-    // Only the NTT is re-implemented on the IFMA datapath; the array
-    // kernels reuse the avx2 implementations (already vector, and the
-    // 128-bit lazy accumulator is bound by the 64x64 multiply either
-    // way).
+    // The multiplying kernels run on the IFMA datapath; add, sub and
+    // the fused multiply-add reuse the avx2 implementations.
     static const Kernels table = [] {
         Kernels k = avx2Kernels();
         k.level = Level::avx512;
         k.width = laneWidth(Level::avx512);
         k.nttForward = &nttForwardAvx512;
         k.nttInverse = &nttInverseAvx512;
+        k.mulArray = &mulArrayAvx512;
+        k.reduceArray = &reduceArrayAvx512;
+        k.innerProduct = &innerProductAvx512;
+        k.centerLimb = &centerLimbAvx512;
+        k.dropLimb = &dropLimbAvx512;
         return k;
     }();
     return table;

@@ -2,16 +2,16 @@
  * @file
  * Scalar modular-arithmetic kernels — the bitwise reference.
  *
- * These are the original NttTables / RnsPoly / LazyLimbAccumulator
- * loops, moved here verbatim so every other dispatch level has a
- * byte-for-byte ground truth to differ against (the KswMode::eager
- * pattern applied to the whole modarith hot path). Do not "optimize"
+ * These are the plain NttTables / RnsPoly / keyswitch loops, kept here
+ * so every other dispatch level has a byte-for-byte ground truth to
+ * differ against (the KswMode::eager pattern applied to the whole
+ * modarith hot path). Do not "optimize"
  * this file: its value is that it stays the plain, obviously-correct
  * formulation. Vector kernels live in their own translation units and
  * must match these outputs exactly.
  */
 #include "src/modarith/ntt.hpp"
-#include "src/modarith/simd_dispatch.hpp"
+#include "src/modarith/simd_kernels_internal.hpp"
 
 namespace fxhenn::simd {
 namespace {
@@ -112,28 +112,38 @@ reduceArrayScalar(std::uint64_t *dst, const std::uint64_t *src,
 }
 
 void
-fmaLazyScalar(unsigned __int128 *acc, const std::uint64_t *a,
-              const std::uint64_t *b, std::size_t n)
+innerProductScalar(std::uint64_t *dst0, std::uint64_t *dst1,
+                   const std::uint64_t *const *a,
+                   const std::uint64_t *const *b0,
+                   const std::uint64_t *const *b1, std::size_t digits,
+                   const std::uint32_t *perm, std::size_t n,
+                   const Modulus &q)
 {
-    for (std::size_t k = 0; k < n; ++k)
-        acc[k] += static_cast<unsigned __int128>(a[k]) * b[k];
+    detail::innerProductRange(dst0, dst1, a, b0, b1, digits, perm, 0, n, q);
 }
 
 void
-fmaLazyGatherScalar(unsigned __int128 *acc, const std::uint64_t *a,
-                    const std::uint32_t *perm, const std::uint64_t *b,
-                    std::size_t n)
+centerLimbScalar(std::uint64_t *dst, const std::uint64_t *src,
+                 std::size_t n, const Modulus &q, const Modulus &p)
 {
-    for (std::size_t k = 0; k < n; ++k)
-        acc[k] += static_cast<unsigned __int128>(a[perm[k]]) * b[k];
+    const std::uint64_t half = p.value() / 2;
+    const std::uint64_t pModQ = p.value() % q.value();
+    // src[k] < p, so Barrett reduce() applies whenever p fits its
+    // x < 2^(2*bits()) contract (always true for the preset chains).
+    const bool barrett = p.bits() < 2 * q.bits();
+    for (std::size_t k = 0; k < n; ++k) {
+        const std::uint64_t res =
+            barrett ? q.reduce(src[k]) : src[k] % q.value();
+        dst[k] = src[k] > half ? q.sub(res, pModQ) : res;
+    }
 }
 
 void
-reduceWideArrayScalar(std::uint64_t *dst, const unsigned __int128 *acc,
-                      std::size_t n, const Modulus &q)
+dropLimbScalar(std::uint64_t *dst, const std::uint64_t *r, std::size_t n,
+               const Modulus &q, std::uint64_t s, std::uint64_t sShoup)
 {
     for (std::size_t k = 0; k < n; ++k)
-        dst[k] = q.reduceWide(acc[k]);
+        dst[k] = q.mulShoup(q.sub(dst[k], r[k]), s, sShoup);
 }
 
 } // namespace
@@ -153,9 +163,9 @@ scalarKernels()
         &mulArrayScalar,
         &fmaModArrayScalar,
         &reduceArrayScalar,
-        &fmaLazyScalar,
-        &fmaLazyGatherScalar,
-        &reduceWideArrayScalar,
+        &innerProductScalar,
+        &centerLimbScalar,
+        &dropLimbScalar,
     };
     return table;
 }

@@ -162,74 +162,51 @@ RnsPoly::fromNtt()
 }
 
 void
-RnsPoly::rescaleLastPrime()
+RnsPoly::divideByLastLimb()
 {
-    FXHENN_ASSERT(domain_ == PolyDomain::coeff,
-                  "rescale requires coefficient domain");
-    FXHENN_ASSERT(!hasSpecial_, "rescale with special limb present");
-    FXHENN_ASSERT(level_ >= 2, "cannot rescale a level-1 polynomial");
-
-    const std::size_t last = level_ - 1;
-    const Modulus &q_last = basis_->q(last);
-    const std::uint64_t half = q_last.value() / 2;
-    const auto &tail = limbs_[last];
-
+    const std::size_t last = limbs_.size() - 1;
+    const Modulus &p = limbModulus(last);
+    auto &tail = limbs_[last];
+    const bool ntt = domain_ == PolyDomain::ntt;
+    // Only the dropped limb leaves the NTT domain: its centered
+    // residues are transformed under each remaining prime, where the
+    // subtraction and scaling happen. The NTT is linear mod q_j, so
+    // this is bitwise the coefficient-domain result.
+    if (ntt)
+        limbNtt(last).inverse(tail);
+    const auto &kern = simd::kernels();
     // Remaining limbs are written disjointly (all read only the tail).
     parallelFor(last, [&](std::size_t j) {
         const Modulus &q = basis_->q(j);
-        const std::uint64_t inv = basis_->invLastPrime(level_, j);
-        const std::uint64_t invShoup = q.shoupConstant(inv);
-        const std::uint64_t qlast_mod = q_last.value() % q.value();
-        // tail[k] < q_last, so Barrett reduce() applies whenever the
-        // dropped prime fits its x < 2^(2*bits()) contract.
-        const bool barrett = q_last.bits() < 2 * q.bits();
-        auto &dst = limbs_[j];
-        for (std::size_t k = 0; k < dst.size(); ++k) {
-            // Centered representative of the tail residue, so the
-            // division rounds instead of truncating.
-            const std::uint64_t res =
-                barrett ? q.reduce(tail[k]) : tail[k] % q.value();
-            const std::uint64_t centered =
-                tail[k] > half ? q.sub(res, qlast_mod) : res;
-            dst[k] = q.mulShoup(q.sub(dst[k], centered), inv, invShoup);
-        }
+        const std::uint64_t inv = hasSpecial_
+                                      ? basis_->invSpecial(j)
+                                      : basis_->invLastPrime(level_, j);
+        auto r = rns::WorkspacePool::leaseU64(tail.size());
+        FXHENN_TELEM_COUNT("modarith.simd.dispatches", 2);
+        kern.centerLimb(r.data(), tail.data(), r.size(), q, p);
+        if (ntt)
+            basis_->ntt(j).forward(r);
+        kern.dropLimb(limbs_[j].data(), r.data(), r.size(), q, inv,
+                      q.shoupConstant(inv));
+        rns::WorkspacePool::release(std::move(r));
     });
     limbs_.pop_back();
+}
+
+void
+RnsPoly::rescaleLastPrime()
+{
+    FXHENN_ASSERT(!hasSpecial_, "rescale with special limb present");
+    FXHENN_ASSERT(level_ >= 2, "cannot rescale a level-1 polynomial");
+    divideByLastLimb();
     --level_;
 }
 
 void
 RnsPoly::modDownSpecial()
 {
-    FXHENN_ASSERT(domain_ == PolyDomain::coeff,
-                  "modDown requires coefficient domain");
     FXHENN_ASSERT(hasSpecial_, "no special limb to remove");
-
-    const Modulus &p = basis_->specialPrime();
-    const std::uint64_t half = p.value() / 2;
-    const auto &tail = limbs_.back();
-
-    // Data limbs are written disjointly (all read only the special
-    // limb), so ModDown parallelizes across limbs like the NTTs.
-    parallelFor(level_, [&](std::size_t j) {
-        const Modulus &q = basis_->q(j);
-        const std::uint64_t inv = basis_->invSpecial(j);
-        const std::uint64_t invShoup = q.shoupConstant(inv);
-        const std::uint64_t p_mod = p.value() % q.value();
-        // tail[k] < p, so Barrett reduce() applies whenever the special
-        // prime fits its x < 2^(2*bits()) contract (always true for the
-        // preset chains: specialBits <= qBits + 10 < 2*qBits).
-        const bool barrett = p.bits() < 2 * q.bits();
-        auto &dst = limbs_[j];
-        for (std::size_t k = 0; k < dst.size(); ++k) {
-            const std::uint64_t res =
-                barrett ? q.reduce(tail[k]) : tail[k] % q.value();
-            const std::uint64_t centered =
-                tail[k] > half ? q.sub(res, p_mod) : res;
-            dst[k] = q.mulShoup(q.sub(dst[k], centered), inv, invShoup);
-        }
-    });
-    limbs_.pop_back();
+    divideByLastLimb();
     hasSpecial_ = false;
 }
 

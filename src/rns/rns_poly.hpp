@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "src/common/rng.hpp"
-#include "src/rns/lazy_accumulator.hpp"
 #include "src/rns/rns_basis.hpp"
 #include "src/rns/workspace_pool.hpp"
 
@@ -91,15 +90,16 @@ class RnsPoly
      * Drop the last data prime with scaling: the RNS-CKKS Rescale core.
      * For each remaining limb j:
      *     c_j <- (c_j - [c_last]) * q_last^-1  (mod q_j)
-     * The polynomial must be in coefficient domain and have no special
+     * where [c_last] is the centered residue. Works in either domain
+     * (bitwise the same result); the polynomial must have no special
      * limb. Decreases level() by one.
      */
     void rescaleLastPrime();
 
     /**
      * Exact divide-and-round by the special prime (hybrid key-switch
-     * ModDown). Requires coefficient domain and a special limb; removes
-     * the special limb.
+     * ModDown). Works in either domain; requires a special limb and
+     * removes it.
      */
     void modDownSpecial();
 
@@ -131,23 +131,19 @@ class RnsPoly
      */
     RnsPoly permuteNtt(std::span<const std::uint32_t> perm) const;
 
-    /**
-     * Lazy (unreduced) FMA of one limb into a 128-bit accumulator:
-     * acc[k] += limb(i)[k] * key[k]. The caller reduces once via
-     * LazyLimbAccumulator::reduceInto() — the keyswitch digit inner
-     * product path.
-     */
-    void
-    fmaLazyInto(rns::LazyLimbAccumulator &acc, std::size_t i,
-                std::span<const std::uint64_t> key) const
-    {
-        acc.fma(limb(i), key);
-    }
-
     bool operator==(const RnsPoly &other) const;
 
   private:
     void checkCompatible(const RnsPoly &other) const;
+
+    /**
+     * The divide-and-round both rescale and ModDown share: c_j <- (c_j
+     * - [c_last]) * p^-1 mod q_j for every remaining limb j, where p is
+     * the prime of the last limb (the special prime when present), then
+     * drop that limb. In the NTT domain only the dropped limb is
+     * inverse-transformed.
+     */
+    void divideByLastLimb();
 
     const RnsBasis *basis_ = nullptr;
     std::size_t level_ = 0;

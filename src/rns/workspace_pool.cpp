@@ -10,11 +10,10 @@ namespace fxhenn::rns {
 
 namespace {
 
-/** The per-thread state: one freelist per element type + counters. */
+/** The per-thread state: one freelist + counters. */
 struct ThreadPool
 {
     std::vector<std::vector<std::uint64_t>> freeU64;
-    std::vector<std::vector<unsigned __int128>> freeU128;
     WorkspaceStats stats;
 };
 
@@ -32,59 +31,32 @@ threadPool() FXHENN_NO_THREAD_SAFETY_ANALYSIS
     return pool;
 }
 
-template <typename T>
-std::vector<T>
-leaseFrom(std::vector<std::vector<T>> &freelist, std::size_t n,
-          WorkspaceStats &stats)
-{
-    if (!freelist.empty()) {
-        std::vector<T> buf = std::move(freelist.back());
-        freelist.pop_back();
-        buf.resize(n); // contents unspecified by contract
-        ++stats.hits;
-        FXHENN_TELEM_COUNT("rns.workspace.hits", 1);
-        return buf;
-    }
-    ++stats.misses;
-    FXHENN_TELEM_COUNT("rns.workspace.misses", 1);
-    return std::vector<T>(n);
-}
-
-template <typename T>
-void
-releaseTo(std::vector<std::vector<T>> &freelist, std::vector<T> &&buf)
-{
-    if (buf.capacity() == 0 || freelist.size() >= WorkspacePool::kMaxFree)
-        return; // moved-from husks and surplus buffers just deallocate
-    freelist.push_back(std::move(buf));
-}
-
 } // namespace
 
 std::vector<std::uint64_t>
 WorkspacePool::leaseU64(std::size_t n)
 {
     ThreadPool &pool = threadPool();
-    return leaseFrom(pool.freeU64, n, pool.stats);
+    if (!pool.freeU64.empty()) {
+        std::vector<std::uint64_t> buf = std::move(pool.freeU64.back());
+        pool.freeU64.pop_back();
+        buf.resize(n); // contents unspecified by contract
+        ++pool.stats.hits;
+        FXHENN_TELEM_COUNT("rns.workspace.hits", 1);
+        return buf;
+    }
+    ++pool.stats.misses;
+    FXHENN_TELEM_COUNT("rns.workspace.misses", 1);
+    return std::vector<std::uint64_t>(n);
 }
 
 void
 WorkspacePool::release(std::vector<std::uint64_t> &&buf)
 {
-    releaseTo(threadPool().freeU64, std::move(buf));
-}
-
-std::vector<unsigned __int128>
-WorkspacePool::leaseU128(std::size_t n)
-{
-    ThreadPool &pool = threadPool();
-    return leaseFrom(pool.freeU128, n, pool.stats);
-}
-
-void
-WorkspacePool::release(std::vector<unsigned __int128> &&buf)
-{
-    releaseTo(threadPool().freeU128, std::move(buf));
+    auto &freelist = threadPool().freeU64;
+    if (buf.capacity() == 0 || freelist.size() >= kMaxFree)
+        return; // moved-from husks and surplus buffers just deallocate
+    freelist.push_back(std::move(buf));
 }
 
 WorkspaceStats
@@ -102,9 +74,7 @@ WorkspacePool::resetThreadStats()
 void
 WorkspacePool::trimThread()
 {
-    ThreadPool &pool = threadPool();
-    pool.freeU64.clear();
-    pool.freeU128.clear();
+    threadPool().freeU64.clear();
 }
 
 PooledBuffer::PooledBuffer(std::size_t n)

@@ -3,7 +3,7 @@
  * Thread-local scratch-buffer pool for the RNS hot paths.
  *
  * Key switching, rescale, ModUp/ModDown and rotation all need
- * limb-sized (N x u64) scratch vectors and 128-bit accumulator rows.
+ * limb-sized (N x u64) scratch vectors.
  * Allocating those per operation puts the allocator on the critical
  * path of every HE op; the pool instead leases buffers from a
  * per-thread freelist and takes them back on release, so steady-state
@@ -47,10 +47,6 @@ class WorkspacePool
     static std::vector<std::uint64_t> leaseU64(std::size_t n);
     /** Release a buffer back to the calling thread's freelist. */
     static void release(std::vector<std::uint64_t> &&buf);
-
-    /** Lease an n-element 128-bit accumulator row (unspecified). */
-    static std::vector<unsigned __int128> leaseU128(std::size_t n);
-    static void release(std::vector<unsigned __int128> &&buf);
 
     /** Counters of the calling thread. */
     static WorkspaceStats threadStats();

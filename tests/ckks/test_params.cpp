@@ -13,7 +13,12 @@ TEST(CkksParams, PaperMnistSetMatchesSectionVIIA)
     EXPECT_EQ(p.qBits, 30u);
     EXPECT_EQ(p.levels, 7u);
     EXPECT_DOUBLE_EQ(p.logQ(), 210.0);
-    EXPECT_EQ(p.securityLevel(), 128u) << "paper claims lambda = 128";
+    EXPECT_EQ(p.lambdaLabel, 128u) << "paper claims lambda = 128";
+    // The keys live mod QP: 210 + 50 bits is above the 218-bit bound
+    // for lambda = 128 at N = 8192, so the computed level is below 128.
+    EXPECT_DOUBLE_EQ(p.logQP(), 260.0);
+    EXPECT_DOUBLE_EQ(p.maxLogQP128(), 218.0);
+    EXPECT_EQ(p.securityLevel(), 0u);
     p.validate();
 }
 
@@ -23,7 +28,10 @@ TEST(CkksParams, PaperCifar10SetMatchesSectionVIIA)
     EXPECT_EQ(p.n, 16384u);
     EXPECT_EQ(p.qBits, 36u);
     EXPECT_DOUBLE_EQ(p.logQ(), 252.0);
-    EXPECT_EQ(p.securityLevel(), 192u) << "paper claims lambda = 192";
+    EXPECT_EQ(p.lambdaLabel, 192u) << "paper claims lambda = 192";
+    // log QP = 302 is within the 305-bit lambda = 192 bound at N = 16384.
+    EXPECT_DOUBLE_EQ(p.logQP(), 302.0);
+    EXPECT_EQ(p.securityLevel(), 192u);
     p.validate();
 }
 
@@ -48,7 +56,7 @@ TEST(CkksParams, ValidationCatchesNonsense)
 
 TEST(CkksParams, SecurityDegradesWithWiderQ)
 {
-    CkksParams p = mnistParams();
+    CkksParams p = cifar10Params();
     const unsigned base = p.securityLevel();
     p.levels = 14; // logQ doubles
     EXPECT_LT(p.securityLevel(), base);
@@ -59,6 +67,8 @@ TEST(CkksParams, DescribeMentionsKeyNumbers)
     const std::string d = mnistParams().describe();
     EXPECT_NE(d.find("8192"), std::string::npos);
     EXPECT_NE(d.find("210"), std::string::npos);
+    EXPECT_NE(d.find("logQP=260"), std::string::npos);
+    EXPECT_NE(d.find("paper label lambda=128"), std::string::npos);
 }
 
 } // namespace

@@ -22,7 +22,8 @@ TEST(MnistEndToEnd, EncryptedInferenceMatchesPlaintext)
 {
     const auto net = nn::buildMnistNetwork();
     const auto params = ckks::mnistParams();
-    ASSERT_EQ(params.securityLevel(), 128u);
+    ASSERT_EQ(params.lambdaLabel, 128u);
+    ASSERT_DOUBLE_EQ(params.logQP(), 260.0);
 
     const auto plan = hecnn::compile(net, params);
     ckks::CkksContext ctx(params);

@@ -8,7 +8,8 @@
  * avx512 wide-q delegation), then end to end over a full model-zoo
  * encrypted inference. Runs under the ASan and TSan presets like any
  * other fast-labeled suite; the simd-off preset shrinks the reachable
- * set to {scalar}, where the matrix degenerates to a self-check.
+ * set to {scalar}, where the matrix degenerates to a self-check and
+ * the per-level rows report as skipped.
  */
 #include <gtest/gtest.h>
 
@@ -16,7 +17,9 @@
 #include <cstring>
 #include <numeric>
 #include <optional>
+#include <ostream>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "src/ckks/params.hpp"
@@ -29,6 +32,17 @@
 #include "src/nn/model_zoo.hpp"
 
 namespace fxhenn {
+namespace simd {
+
+/** gtest parameter printer: levels print by name. */
+void
+PrintTo(Level level, std::ostream *os)
+{
+    *os << levelName(level);
+}
+
+} // namespace simd
+
 namespace {
 
 std::vector<simd::Level>
@@ -62,13 +76,16 @@ randomResidues(std::mt19937_64 &rng, std::size_t n, std::uint64_t q)
     return v;
 }
 
-TEST(SimdDifferential, ArrayKernelsMatchScalarBitwise)
+void
+expectArrayKernelsMatch(simd::Level level)
 {
     std::mt19937_64 rng(2024);
     const auto &ref = simd::kernelsFor(simd::Level::scalar);
+    const auto &kern = simd::kernelsFor(level);
     // Ragged length on purpose: tails must agree too.
     const std::size_t n = 4096 + 3;
-    for (const Modulus &q : presetPrimes()) {
+    const auto primes = presetPrimes();
+    for (const Modulus &q : primes) {
         const auto a = randomResidues(rng, n, q.value());
         const auto b = randomResidues(rng, n, q.value());
         const auto dst0 = randomResidues(rng, n, q.value());
@@ -77,80 +94,106 @@ TEST(SimdDifferential, ArrayKernelsMatchScalarBitwise)
             x = rng() % (q.value() < (1ull << 32)
                              ? q.value() * q.value()
                              : ~0ull);
-        for (simd::Level level : reachableLevels()) {
-            const auto &kern = simd::kernelsFor(level);
-            std::vector<std::uint64_t> want(n), got(n);
+        std::vector<std::uint64_t> want(n), got(n);
 
-            ref.addArray(want.data(), a.data(), b.data(), n, q);
-            kern.addArray(got.data(), a.data(), b.data(), n, q);
-            EXPECT_EQ(want, got) << "addArray @" << simd::levelName(level)
-                                 << " q=" << q.value();
+        ref.addArray(want.data(), a.data(), b.data(), n, q);
+        kern.addArray(got.data(), a.data(), b.data(), n, q);
+        EXPECT_EQ(want, got) << "addArray @" << simd::levelName(level)
+                             << " q=" << q.value();
 
-            ref.subArray(want.data(), a.data(), b.data(), n, q);
-            kern.subArray(got.data(), a.data(), b.data(), n, q);
-            EXPECT_EQ(want, got) << "subArray @" << simd::levelName(level)
-                                 << " q=" << q.value();
+        ref.subArray(want.data(), a.data(), b.data(), n, q);
+        kern.subArray(got.data(), a.data(), b.data(), n, q);
+        EXPECT_EQ(want, got) << "subArray @" << simd::levelName(level)
+                             << " q=" << q.value();
 
-            ref.mulArray(want.data(), a.data(), b.data(), n, q);
-            kern.mulArray(got.data(), a.data(), b.data(), n, q);
-            EXPECT_EQ(want, got) << "mulArray @" << simd::levelName(level)
-                                 << " q=" << q.value();
+        ref.mulArray(want.data(), a.data(), b.data(), n, q);
+        kern.mulArray(got.data(), a.data(), b.data(), n, q);
+        EXPECT_EQ(want, got) << "mulArray @" << simd::levelName(level)
+                             << " q=" << q.value();
 
-            want = dst0;
-            got = dst0;
-            ref.fmaModArray(want.data(), a.data(), b.data(), n, q);
-            kern.fmaModArray(got.data(), a.data(), b.data(), n, q);
+        want = dst0;
+        got = dst0;
+        ref.fmaModArray(want.data(), a.data(), b.data(), n, q);
+        kern.fmaModArray(got.data(), a.data(), b.data(), n, q);
+        EXPECT_EQ(want, got) << "fmaModArray @" << simd::levelName(level)
+                             << " q=" << q.value();
+
+        ref.reduceArray(want.data(), wide.data(), n, q);
+        kern.reduceArray(got.data(), wide.data(), n, q);
+        EXPECT_EQ(want, got) << "reduceArray @" << simd::levelName(level)
+                             << " q=" << q.value();
+
+        // Drop every other preset prime p into q: centered residues,
+        // then the subtract-and-scale by p^-1.
+        for (const Modulus &p : primes) {
+            if (p == q)
+                continue;
+            const auto tail = randomResidues(rng, n, p.value());
+            const std::uint64_t inv = q.inverse(p.value() % q.value());
+            ref.centerLimb(want.data(), tail.data(), n, q, p);
+            kern.centerLimb(got.data(), tail.data(), n, q, p);
             EXPECT_EQ(want, got)
-                << "fmaModArray @" << simd::levelName(level)
-                << " q=" << q.value();
-
-            ref.reduceArray(want.data(), wide.data(), n, q);
-            kern.reduceArray(got.data(), wide.data(), n, q);
-            EXPECT_EQ(want, got)
-                << "reduceArray @" << simd::levelName(level)
-                << " q=" << q.value();
+                << "centerLimb @" << simd::levelName(level)
+                << " q=" << q.value() << " p=" << p.value();
+            std::vector<std::uint64_t> wantD = dst0, gotD = dst0;
+            ref.dropLimb(wantD.data(), want.data(), n, q, inv,
+                         q.shoupConstant(inv));
+            kern.dropLimb(gotD.data(), want.data(), n, q, inv,
+                          q.shoupConstant(inv));
+            EXPECT_EQ(wantD, gotD)
+                << "dropLimb @" << simd::levelName(level)
+                << " q=" << q.value() << " p=" << p.value();
         }
     }
 }
 
-TEST(SimdDifferential, LazyAccumulatorKernelsMatchScalarBitwise)
+void
+expectInnerProductMatches(simd::Level level)
 {
     std::mt19937_64 rng(77);
     const auto &ref = simd::kernelsFor(simd::Level::scalar);
+    const auto &kern = simd::kernelsFor(level);
     const std::size_t n = 1024 + 5;
     for (const Modulus &q : presetPrimes()) {
         std::vector<std::uint32_t> perm(n);
         std::iota(perm.begin(), perm.end(), 0u);
         std::shuffle(perm.begin(), perm.end(), rng);
-        const auto b0 = randomResidues(rng, n, q.value());
-        const auto b1 = randomResidues(rng, n, q.value());
-        const auto a0 = randomResidues(rng, n, q.value());
-        const auto a1 = randomResidues(rng, n, q.value());
-        for (simd::Level level : reachableLevels()) {
-            const auto &kern = simd::kernelsFor(level);
-            std::vector<unsigned __int128> want(n, 0), got(n, 0);
-            ref.fmaLazy(want.data(), a0.data(), b0.data(), n);
-            kern.fmaLazy(got.data(), a0.data(), b0.data(), n);
-            ref.fmaLazyGather(want.data(), a1.data(), perm.data(),
-                              b1.data(), n);
-            kern.fmaLazyGather(got.data(), a1.data(), perm.data(),
-                               b1.data(), n);
-            EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
-                                     n * sizeof(unsigned __int128)))
-                << "lazy FMA @" << simd::levelName(level)
-                << " q=" << q.value();
-
-            std::vector<std::uint64_t> wantR(n), gotR(n);
-            ref.reduceWideArray(wantR.data(), want.data(), n, q);
-            kern.reduceWideArray(gotR.data(), got.data(), n, q);
-            EXPECT_EQ(wantR, gotR)
-                << "reduceWideArray @" << simd::levelName(level)
-                << " q=" << q.value();
+        // 1..7 digits span the preset levels; 15 is the IFMA bound and
+        // 16 takes the fallback past it.
+        for (const std::size_t digits : {1ull, 3ull, 7ull, 15ull, 16ull}) {
+            std::vector<std::vector<std::uint64_t>> rows;
+            for (std::size_t i = 0; i < 3 * digits; ++i)
+                rows.push_back(randomResidues(rng, n, q.value()));
+            std::vector<const std::uint64_t *> a, b0, b1;
+            for (std::size_t i = 0; i < digits; ++i) {
+                a.push_back(rows[i].data());
+                b0.push_back(rows[digits + i].data());
+                b1.push_back(rows[2 * digits + i].data());
+            }
+            const std::uint32_t *noPerm = nullptr;
+            const std::uint32_t *gather = perm.data();
+            for (const std::uint32_t *pm : {noPerm, gather}) {
+                std::vector<std::uint64_t> want0(n), want1(n), got0(n),
+                    got1(n);
+                ref.innerProduct(want0.data(), want1.data(), a.data(),
+                                 b0.data(), b1.data(), digits, pm, n, q);
+                kern.innerProduct(got0.data(), got1.data(), a.data(),
+                                  b0.data(), b1.data(), digits, pm, n, q);
+                EXPECT_EQ(want0, got0)
+                    << "innerProduct @" << simd::levelName(level)
+                    << " q=" << q.value() << " digits=" << digits
+                    << (pm ? " gather" : "");
+                EXPECT_EQ(want1, got1)
+                    << "innerProduct (second key part) @"
+                    << simd::levelName(level) << " q=" << q.value()
+                    << " digits=" << digits << (pm ? " gather" : "");
+            }
         }
     }
 }
 
-TEST(SimdDifferential, NttMatchesScalarBitwiseAcrossPrimesAndSizes)
+void
+expectNttMatches(simd::Level level)
 {
     std::mt19937_64 rng(55);
     for (const std::uint64_t n : {16ull, 64ull, 4096ull}) {
@@ -166,22 +209,80 @@ TEST(SimdDifferential, NttMatchesScalarBitwiseAcrossPrimesAndSizes)
                 ntt.forward(std::span<std::uint64_t>(fwdRef));
                 ntt.inverse(std::span<std::uint64_t>(invRef));
             }
-            for (simd::Level level : reachableLevels()) {
-                simd::ScopedLevel pin(level);
-                auto fwd = input;
-                auto inv = input;
-                ntt.forward(std::span<std::uint64_t>(fwd));
-                ntt.inverse(std::span<std::uint64_t>(inv));
-                EXPECT_EQ(fwdRef, fwd)
-                    << "forward NTT @" << simd::levelName(level)
-                    << " n=" << n << " bits=" << bits;
-                EXPECT_EQ(invRef, inv)
-                    << "inverse NTT @" << simd::levelName(level)
-                    << " n=" << n << " bits=" << bits;
-            }
+            simd::ScopedLevel pin(level);
+            auto fwd = input;
+            auto inv = input;
+            ntt.forward(std::span<std::uint64_t>(fwd));
+            ntt.inverse(std::span<std::uint64_t>(inv));
+            EXPECT_EQ(fwdRef, fwd)
+                << "forward NTT @" << simd::levelName(level) << " n=" << n
+                << " bits=" << bits;
+            EXPECT_EQ(invRef, inv)
+                << "inverse NTT @" << simd::levelName(level) << " n=" << n
+                << " bits=" << bits;
         }
     }
 }
+
+TEST(SimdDifferential, ArrayKernelsMatchScalarBitwise)
+{
+    for (simd::Level level : reachableLevels())
+        expectArrayKernelsMatch(level);
+}
+
+TEST(SimdDifferential, LazyAccumulatorKernelsMatchScalarBitwise)
+{
+    // The fused inner product keeps each coefficient's digit sum
+    // unreduced (in registers) and reduces once.
+    for (simd::Level level : reachableLevels())
+        expectInnerProductMatches(level);
+}
+
+TEST(SimdDifferential, NttMatchesScalarBitwiseAcrossPrimesAndSizes)
+{
+    for (simd::Level level : reachableLevels())
+        expectNttMatches(level);
+}
+
+/**
+ * One row per vector level: the whole kernel table against scalar.
+ * A level that is compiled in but that this host cannot execute (or
+ * one this build left out) reports as skipped with the reason, instead
+ * of passing by omission as the cross-level loops above do.
+ */
+class SimdLevelDifferential : public ::testing::TestWithParam<simd::Level>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        const simd::Level level = GetParam();
+        if (!simd::compiledIn(level))
+            GTEST_SKIP() << simd::levelName(level)
+                         << " kernels are not compiled into this build";
+        if (!simd::hostSupports(level))
+            GTEST_SKIP() << "this host cannot execute the "
+                         << simd::levelName(level) << " kernels ("
+                         << (level == simd::Level::avx512
+                                 ? "needs AVX-512 F/DQ/IFMA"
+                                 : "needs AVX2")
+                         << ")";
+    }
+};
+
+TEST_P(SimdLevelDifferential, KernelTableMatchesScalar)
+{
+    expectArrayKernelsMatch(GetParam());
+    expectInnerProductMatches(GetParam());
+    expectNttMatches(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    VectorLevels, SimdLevelDifferential,
+    ::testing::Values(simd::Level::avx2, simd::Level::avx512),
+    [](const ::testing::TestParamInfo<simd::Level> &info) {
+        return std::string(simd::levelName(info.param));
+    });
 
 bool
 sameRegs(const std::vector<std::optional<ckks::Ciphertext>> &a,

@@ -2,10 +2,11 @@
  * @file
  * Property tests for the lazy-reduction keyswitch arithmetic: at every
  * prime a real parameter chain can produce (30..60-bit NTT primes plus
- * the wider special prime), a lazy 128-bit accumulation followed by a
- * single Modulus::reduceWide() must be bitwise identical to the eager
- * add(mul()) chain — including at the worst-case accumulation depth
- * the overflow budget permits for the widest primes.
+ * the wider special prime), the fused inner product — an unreduced
+ * digit sum followed by a single reduction — must be bitwise identical
+ * to the eager add(mul()) chain at every reachable dispatch level,
+ * including at the worst-case accumulation depth the overflow budget
+ * permits for the widest primes.
  */
 #include <gtest/gtest.h>
 
@@ -16,7 +17,7 @@
 #include "src/common/rng.hpp"
 #include "src/modarith/modulus.hpp"
 #include "src/modarith/primes.hpp"
-#include "src/rns/lazy_accumulator.hpp"
+#include "src/modarith/simd_dispatch.hpp"
 
 namespace fxhenn {
 namespace {
@@ -33,25 +34,57 @@ chainPrimes()
     return primes;
 }
 
+std::vector<simd::Level>
+reachableLevels()
+{
+    std::vector<simd::Level> levels;
+    for (simd::Level level :
+         {simd::Level::scalar, simd::Level::avx2, simd::Level::avx512})
+        if (simd::available(level))
+            levels.push_back(level);
+    return levels;
+}
+
+/** Both outputs of the fused inner product of a[i] . b[i] (the same
+ * key row on both sides) at @p level. */
+std::vector<std::uint64_t>
+fusedSum(simd::Level level, const std::vector<std::vector<std::uint64_t>> &a,
+         const std::vector<std::vector<std::uint64_t>> &b, const Modulus &q)
+{
+    std::vector<const std::uint64_t *> pa, pb;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        pa.push_back(a[i].data());
+        pb.push_back(b[i].data());
+    }
+    const std::size_t n = a.front().size();
+    std::vector<std::uint64_t> out0(n), out1(n);
+    simd::kernelsFor(level).innerProduct(out0.data(), out1.data(),
+                                         pa.data(), pb.data(), pb.data(),
+                                         a.size(), nullptr, n, q);
+    EXPECT_EQ(out0, out1) << "the two key parts saw equal rows";
+    return out0;
+}
+
 TEST(LazyReductionProperty, LazyEqualsEagerAtEveryChainPrime)
 {
     Rng rng(20260805);
     const std::size_t n = 16;
     for (const Modulus &q : chainPrimes()) {
-        std::vector<std::uint64_t> a(n), b(n), eager(n, 0);
-        rns::LazyLimbAccumulator acc(n);
+        std::vector<std::vector<std::uint64_t>> a, b;
+        std::vector<std::uint64_t> eager(n, 0);
         // Depth 32 covers every level count the presets reach.
         for (int depth = 0; depth < 32; ++depth) {
+            a.emplace_back(n);
+            b.emplace_back(n);
             for (std::size_t k = 0; k < n; ++k) {
-                a[k] = rng.uniform(q.value());
-                b[k] = rng.uniform(q.value());
-                eager[k] = q.add(eager[k], q.mul(a[k], b[k]));
+                a.back()[k] = rng.uniform(q.value());
+                b.back()[k] = rng.uniform(q.value());
+                eager[k] = q.add(eager[k], q.mul(a.back()[k], b.back()[k]));
             }
-            acc.fma(a, b);
         }
-        std::vector<std::uint64_t> lazy(n);
-        acc.reduceInto(lazy, q);
-        ASSERT_EQ(lazy, eager) << "prime " << q.value();
+        for (simd::Level level : reachableLevels())
+            ASSERT_EQ(fusedSum(level, a, b, q), eager)
+                << "prime " << q.value() << " @" << simd::levelName(level);
     }
 }
 
@@ -66,20 +99,17 @@ TEST(LazyReductionProperty, WorstCaseDepthAtMaximalOperands)
         const std::uint64_t depth =
             std::min<std::uint64_t>(q.maxLazyDepth(), 4096);
         const std::size_t n = 4;
-        std::vector<std::uint64_t> worst(n, q.value() - 1);
+        const std::vector<std::vector<std::uint64_t>> worst(
+            depth, std::vector<std::uint64_t>(n, q.value() - 1));
         std::vector<std::uint64_t> eager(n, 0);
-        rns::LazyLimbAccumulator acc(n);
-        for (std::uint64_t d = 0; d < depth; ++d) {
-            acc.fma(worst, worst);
+        for (std::uint64_t d = 0; d < depth; ++d)
             for (std::size_t k = 0; k < n; ++k)
-                eager[k] =
-                    q.add(eager[k], q.mul(worst[k], worst[k]));
-        }
-        EXPECT_EQ(acc.depth(), depth);
-        std::vector<std::uint64_t> lazy(n);
-        acc.reduceInto(lazy, q);
-        ASSERT_EQ(lazy, eager)
-            << "prime " << q.value() << " depth " << depth;
+                eager[k] = q.add(eager[k],
+                                 q.mul(q.value() - 1, q.value() - 1));
+        for (simd::Level level : reachableLevels())
+            ASSERT_EQ(fusedSum(level, worst, worst, q), eager)
+                << "prime " << q.value() << " depth " << depth << " @"
+                << simd::levelName(level);
     }
 }
 

@@ -2,12 +2,15 @@
  * @file
  * Property tests for the SIMD modarith dispatch levels: boundary
  * coefficients (0, 1, q-1), the worst-case lazy accumulation depth
- * Modulus::maxLazyDepth() permits, and ragged tails (lengths that are
- * not a multiple of any vector width) must all be bitwise identical
- * to the scalar reference at every preset NTT prime x every dispatch
- * level reachable on this host. These are the edges the randomized
- * differential matrix (tests/modarith/test_simd_differential.cpp) is
- * least likely to sample.
+ * Modulus::maxLazyDepth() permits, the 15-digit edge of the IFMA inner
+ * product and the 16-digit call that falls back past it, the centered
+ * half-way point of the drop-limb sweeps, identity/reversal/Galois
+ * gathers, and ragged tails (lengths that are not a multiple of any
+ * vector width) must all be bitwise identical to the scalar reference
+ * at every preset NTT prime x every dispatch level reachable on this
+ * host. These are the edges the randomized differential matrix
+ * (tests/modarith/test_simd_differential.cpp) is least likely to
+ * sample.
  */
 #include <gtest/gtest.h>
 
@@ -17,6 +20,8 @@
 #include <numeric>
 #include <vector>
 
+#include "src/ckks/context.hpp"
+#include "src/ckks/params.hpp"
 #include "src/common/rng.hpp"
 #include "src/modarith/ntt.hpp"
 #include "src/modarith/primes.hpp"
@@ -146,62 +151,168 @@ TEST(SimdProperty, ReduceBoundariesIncludeBarrettEdgeInputs)
     }
 }
 
+/** Digit rows for the fused inner product plus their pointer tables. */
+struct DigitRows
+{
+    std::vector<std::vector<std::uint64_t>> a, b0, b1;
+    std::vector<const std::uint64_t *> pa, pb0, pb1;
+
+    void
+    add(std::vector<std::uint64_t> x, std::vector<std::uint64_t> y0,
+        std::vector<std::uint64_t> y1)
+    {
+        a.push_back(std::move(x));
+        b0.push_back(std::move(y0));
+        b1.push_back(std::move(y1));
+        pa.clear();
+        pb0.clear();
+        pb1.clear();
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            pa.push_back(a[i].data());
+            pb0.push_back(b0[i].data());
+            pb1.push_back(b1[i].data());
+        }
+    }
+
+    /** Both outputs at @p kern, concatenated. */
+    std::vector<std::uint64_t>
+    run(const simd::Kernels &kern, const std::uint32_t *perm,
+        const Modulus &q) const
+    {
+        const std::size_t n = b0.front().size();
+        std::vector<std::uint64_t> out(2 * n, 0xdeadbeef);
+        kern.innerProduct(out.data(), out.data() + n, pa.data(),
+                          pb0.data(), pb1.data(), a.size(), perm, n, q);
+        return out;
+    }
+};
+
 TEST(SimdProperty, WorstCaseLazyDepthAtEveryPrimeAndWidth)
 {
     // Saturate the 128-bit overflow budget with (q-1)^2 terms at the
     // advertised maxLazyDepth() (capped for narrow primes), then
-    // compare both the raw 128-bit accumulator bytes and the deferred
-    // reduction against scalar, over a ragged length.
+    // compare the reduced digit sums against scalar over a ragged
+    // length.
     const auto &ref = simd::kernelsFor(simd::Level::scalar);
     const std::size_t n = 13;
     for (const Modulus &q : chainPrimes()) {
         const std::uint64_t depth =
             std::min<std::uint64_t>(q.maxLazyDepth(), 1024);
         const std::vector<std::uint64_t> worst(n, q.value() - 1);
-        for (simd::Level level : reachableLevels()) {
-            const auto &kern = simd::kernelsFor(level);
-            std::vector<unsigned __int128> want(n, 0), got(n, 0);
-            for (std::uint64_t d = 0; d < depth; ++d) {
-                ref.fmaLazy(want.data(), worst.data(), worst.data(), n);
-                kern.fmaLazy(got.data(), worst.data(), worst.data(), n);
-            }
-            ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
-                                     n * sizeof(unsigned __int128)))
-                << "accumulator bytes q=" << q.value() << " depth "
-                << depth << " @" << simd::levelName(level);
-            std::vector<std::uint64_t> wantR(n), gotR(n);
-            ref.reduceWideArray(wantR.data(), want.data(), n, q);
-            kern.reduceWideArray(gotR.data(), got.data(), n, q);
-            ASSERT_EQ(wantR, gotR)
-                << "reduceWide q=" << q.value() << " depth " << depth
+        DigitRows rows;
+        for (std::uint64_t d = 0; d < depth; ++d)
+            rows.add(worst, worst, worst);
+        const auto want = rows.run(ref, nullptr, q);
+        for (simd::Level level : reachableLevels())
+            ASSERT_EQ(want, rows.run(simd::kernelsFor(level), nullptr, q))
+                << "inner product q=" << q.value() << " depth " << depth
                 << " @" << simd::levelName(level);
+    }
+}
+
+TEST(SimdProperty, InnerProductIfmaDigitBoundAtTheSpecialPrime)
+{
+    // The IFMA path holds at most 15 digits of residues below 2^50.
+    // All-(q-1) operands at the widest 50-bit prime (the preset special
+    // prime width) put the high-half sum at its maximum; a 16th digit
+    // must take the avx2 fallback and still agree.
+    const auto &ref = simd::kernelsFor(simd::Level::scalar);
+    const Modulus p(generateNttPrimes(50, 8192, 1)[0]);
+    ASSERT_LT(p.value(), std::uint64_t{1} << 50);
+    for (const std::size_t n : {8ull, 21ull}) {
+        const std::vector<std::uint64_t> worst(n, p.value() - 1);
+        DigitRows rows;
+        for (std::size_t digits = 1; digits <= 16; ++digits) {
+            rows.add(worst, worst, worst);
+            const auto want = rows.run(ref, nullptr, p);
+            for (simd::Level level : reachableLevels())
+                ASSERT_EQ(want,
+                          rows.run(simd::kernelsFor(level), nullptr, p))
+                    << digits << " digits n=" << n << " @"
+                    << simd::levelName(level);
         }
     }
 }
 
 TEST(SimdProperty, GatherFmaRaggedTailsAndBoundaries)
 {
+    // Identity, reversal and real Galois gathers (rotation by one slot
+    // and conjugation of an N = 64 ring), over ragged lengths for the
+    // synthetic ones, with boundary residues on both sides.
     Rng rng(4242);
     const auto &ref = simd::kernelsFor(simd::Level::scalar);
-    for (const std::size_t n : {8ull, 9ull, 17ull, 33ull}) {
+    const ckks::CkksContext ctx(ckks::testParams(64, 2, 30));
+    std::vector<std::vector<std::uint32_t>> perms;
+    for (const std::size_t n : {1ull, 7ull, 8ull, 9ull, 17ull, 33ull}) {
+        std::vector<std::uint32_t> perm(n);
+        std::iota(perm.begin(), perm.end(), 0u);
+        perms.push_back(perm);
+        std::reverse(perm.begin(), perm.end());
+        perms.push_back(perm);
+        // Rotate: the Galois maps the real keyswitch feeds are
+        // permutations with long cycles.
+        std::iota(perm.begin(), perm.end(), 0u);
+        std::rotate(perm.begin(), perm.begin() + (n / 2), perm.end());
+        perms.push_back(perm);
+    }
+    for (const std::uint64_t elt :
+         {ctx.galoisElt(1), ctx.conjugateElt()})
+        perms.push_back(ctx.galoisNttTable(elt));
+    for (const auto &perm : perms) {
+        const std::size_t n = perm.size();
         for (const Modulus &q : chainPrimes()) {
-            std::vector<std::uint32_t> perm(n);
-            std::iota(perm.begin(), perm.end(), 0u);
-            // Rotate rather than shuffle: the Galois maps the real
-            // keyswitch feeds are permutations with long cycles.
-            std::rotate(perm.begin(), perm.begin() + (n / 2),
-                        perm.end());
-            const auto a = boundaryResidues(rng, n, q.value());
-            const auto b = boundaryResidues(rng, n, q.value());
+            DigitRows rows;
+            for (int d = 0; d < 3; ++d)
+                rows.add(boundaryResidues(rng, n, q.value()),
+                         boundaryResidues(rng, n, q.value()),
+                         boundaryResidues(rng, n, q.value()));
+            const auto want = rows.run(ref, perm.data(), q);
+            for (simd::Level level : reachableLevels())
+                ASSERT_EQ(want,
+                          rows.run(simd::kernelsFor(level), perm.data(), q))
+                    << "gather inner product n=" << n
+                    << " q=" << q.value() << " @"
+                    << simd::levelName(level);
+        }
+    }
+}
+
+TEST(SimdProperty, DropLimbBoundariesAroundTheCenteringPoint)
+{
+    // centerLimb flips sign exactly above p/2; feed 0, 1, p/2, p/2 + 1
+    // and p - 1 of every dropped prime into every target prime, then
+    // dropLimb with 0 / q-1 operands on both sides, over a ragged
+    // length.
+    Rng rng(8080);
+    const auto &ref = simd::kernelsFor(simd::Level::scalar);
+    const auto primes = chainPrimes();
+    for (const Modulus &p : primes) {
+        std::vector<std::uint64_t> src = {0, 1, p.value() / 2,
+                                          p.value() / 2 + 1,
+                                          p.value() - 1};
+        while (src.size() < 19)
+            src.push_back(rng.uniform(p.value()));
+        const std::size_t n = src.size();
+        for (const Modulus &q : primes) {
+            if (q == p)
+                continue;
+            const std::uint64_t inv = q.inverse(p.value() % q.value());
+            const auto dst0 = boundaryResidues(rng, n, q.value());
+            std::vector<std::uint64_t> wantR(n), want = dst0;
+            ref.centerLimb(wantR.data(), src.data(), n, q, p);
+            ref.dropLimb(want.data(), wantR.data(), n, q, inv,
+                         q.shoupConstant(inv));
             for (simd::Level level : reachableLevels()) {
-                std::vector<unsigned __int128> want(n, 7), got(n, 7);
-                ref.fmaLazyGather(want.data(), a.data(), perm.data(),
-                                  b.data(), n);
-                simd::kernelsFor(level).fmaLazyGather(
-                    got.data(), a.data(), perm.data(), b.data(), n);
-                ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
-                                         n * sizeof(unsigned __int128)))
-                    << "fmaLazyGather n=" << n << " q=" << q.value()
+                const auto &kern = simd::kernelsFor(level);
+                std::vector<std::uint64_t> gotR(n), got = dst0;
+                kern.centerLimb(gotR.data(), src.data(), n, q, p);
+                ASSERT_EQ(wantR, gotR)
+                    << "centerLimb p=" << p.value() << " q=" << q.value()
+                    << " @" << simd::levelName(level);
+                kern.dropLimb(got.data(), gotR.data(), n, q, inv,
+                              q.shoupConstant(inv));
+                ASSERT_EQ(want, got)
+                    << "dropLimb p=" << p.value() << " q=" << q.value()
                     << " @" << simd::levelName(level);
             }
         }

@@ -2,8 +2,11 @@
 
 #include <memory>
 
+#include "src/ckks/context.hpp"
+#include "src/ckks/params.hpp"
 #include "src/common/rng.hpp"
 #include "src/modarith/primes.hpp"
+#include "src/modarith/simd_dispatch.hpp"
 #include "src/rns/crt.hpp"
 #include "src/rns/rns_poly.hpp"
 
@@ -200,6 +203,53 @@ TEST_F(RnsPolyTest, DropLastPrimeKeepsResidues)
     for (std::size_t i = 0; i < 2; ++i) {
         for (std::size_t k = 0; k < basis_.n(); ++k)
             EXPECT_EQ(p.limb(i)[k], copy.limb(i)[k]);
+    }
+}
+
+TEST(RnsPolyDomains, NttDomainModDownAndRescaleMatchCoefficientDomain)
+{
+    // Dividing by the dropped prime in the NTT domain (only the dropped
+    // limb inverse-transformed) must give the exact bytes of the
+    // coefficient-domain reference followed by a forward NTT, at every
+    // level of the 30-, 36- and 50-bit chains (special primes of 50,
+    // 50 and 60 bits) and every reachable dispatch level.
+    Rng rng(515);
+    for (unsigned bits : {30u, 36u, 50u}) {
+        const ckks::CkksContext ctx(ckks::testParams(1024, 6, bits));
+        const RnsBasis &basis = ctx.basis();
+        for (simd::Level simdLevel :
+             {simd::Level::scalar, simd::Level::avx2, simd::Level::avx512}) {
+            if (!simd::available(simdLevel))
+                continue;
+            simd::ScopedLevel pin(simdLevel);
+            for (std::size_t level = 1; level <= basis.levels(); ++level) {
+                RnsPoly ext(basis, level, /*withSpecial=*/true,
+                            PolyDomain::coeff);
+                ext.sampleUniform(rng);
+                RnsPoly want = ext;
+                want.modDownSpecial();
+                want.toNtt();
+                RnsPoly got = ext;
+                got.toNtt();
+                got.modDownSpecial();
+                EXPECT_TRUE(got == want)
+                    << "ModDown bits=" << bits << " level=" << level
+                    << " @" << simd::levelName(simdLevel);
+                if (level < 2)
+                    continue;
+                RnsPoly poly(basis, level, false, PolyDomain::coeff);
+                poly.sampleUniform(rng);
+                RnsPoly wantR = poly;
+                wantR.rescaleLastPrime();
+                wantR.toNtt();
+                RnsPoly gotR = poly;
+                gotR.toNtt();
+                gotR.rescaleLastPrime();
+                EXPECT_TRUE(gotR == wantR)
+                    << "rescale bits=" << bits << " level=" << level
+                    << " @" << simd::levelName(simdLevel);
+            }
+        }
     }
 }
 

@@ -1,8 +1,10 @@
 /**
  * @file
- * WorkspacePool / PooledBuffer / LazyLimbAccumulator unit tests: the
- * lease-release protocol, the per-thread stats, value semantics of
- * pooled limb storage and the lazy 128-bit accumulator contract
+ * WorkspacePool / PooledBuffer unit tests plus the unit contract of the
+ * fused keyswitch inner product that replaced the pooled 128-bit
+ * accumulator rows: the lease-release protocol, the per-thread stats,
+ * value semantics of pooled limb storage, and an inner product that
+ * matches the eager modmul chain while leasing nothing
  * (docs/ARCHITECTURE.md section 10).
  */
 #include <gtest/gtest.h>
@@ -12,7 +14,7 @@
 
 #include "src/common/rng.hpp"
 #include "src/modarith/modulus.hpp"
-#include "src/rns/lazy_accumulator.hpp"
+#include "src/modarith/simd_dispatch.hpp"
 #include "src/rns/workspace_pool.hpp"
 
 namespace fxhenn::rns {
@@ -81,17 +83,6 @@ TEST(WorkspacePool, MovedFromHusksAreNotPooled)
     (void)lease;
 }
 
-TEST(WorkspacePool, U128RowsPoolIndependently)
-{
-    freshPool();
-    auto row = WorkspacePool::leaseU128(64);
-    EXPECT_EQ(row.size(), 64u);
-    WorkspacePool::release(std::move(row));
-    auto again = WorkspacePool::leaseU128(64);
-    EXPECT_EQ(WorkspacePool::threadStats().hits, 1u);
-    WorkspacePool::release(std::move(again));
-}
-
 TEST(PooledBuffer, ConstructsZeroFilledEvenFromDirtyFreelist)
 {
     freshPool();
@@ -144,48 +135,102 @@ TEST(PooledBuffer, DestructionRecyclesStorage)
     EXPECT_EQ(WorkspacePool::threadStats().misses, 0u);
 }
 
-TEST(LazyLimbAccumulator, MatchesEagerModMulChain)
+/** Digit rows and the pointer tables the inner product reads. */
+struct Digits
+{
+    std::vector<std::vector<std::uint64_t>> a, b0, b1;
+
+    std::vector<const std::uint64_t *>
+    ptrs(const std::vector<std::vector<std::uint64_t>> &rows) const
+    {
+        std::vector<const std::uint64_t *> out;
+        for (const auto &row : rows)
+            out.push_back(row.data());
+        return out;
+    }
+};
+
+TEST(InnerProduct, MatchesEagerModMulChain)
 {
     freshPool();
     const Modulus q(1073741827); // fits any 30-bit NTT prime shape
     const std::size_t n = 32;
+    const std::size_t depth = 20; // past the 15-digit IFMA bound
     Rng rng(77);
-    std::vector<std::uint64_t> a(n), b(n), eager(n, 0);
-
-    LazyLimbAccumulator acc(n);
-    for (int d = 0; d < 20; ++d) {
+    Digits d;
+    std::vector<std::uint64_t> eager0(n, 0), eager1(n, 0);
+    for (std::size_t i = 0; i < depth; ++i) {
+        d.a.emplace_back(n);
+        d.b0.emplace_back(n);
+        d.b1.emplace_back(n);
         for (std::size_t k = 0; k < n; ++k) {
-            a[k] = rng.uniform(q.value());
-            b[k] = rng.uniform(q.value());
-            eager[k] = q.add(eager[k], q.mul(a[k], b[k]));
+            d.a[i][k] = rng.uniform(q.value());
+            d.b0[i][k] = rng.uniform(q.value());
+            d.b1[i][k] = rng.uniform(q.value());
+            eager0[k] = q.add(eager0[k], q.mul(d.a[i][k], d.b0[i][k]));
+            eager1[k] = q.add(eager1[k], q.mul(d.a[i][k], d.b1[i][k]));
         }
-        acc.fma(a, b);
     }
-    std::vector<std::uint64_t> lazy(n);
-    acc.reduceInto(lazy, q);
-    EXPECT_EQ(lazy, eager);
+    std::vector<std::uint64_t> got0(n), got1(n);
+    simd::kernels().innerProduct(got0.data(), got1.data(),
+                                 d.ptrs(d.a).data(), d.ptrs(d.b0).data(),
+                                 d.ptrs(d.b1).data(), depth, nullptr, n,
+                                 q);
+    EXPECT_EQ(got0, eager0);
+    EXPECT_EQ(got1, eager1);
 }
 
-TEST(LazyLimbAccumulator, GatherAppliesPermutationToFirstOperand)
+TEST(InnerProduct, GatherAppliesPermutationToFirstOperand)
 {
     freshPool();
     const Modulus q(65537);
     const std::size_t n = 8;
-    std::vector<std::uint64_t> a(n), b(n), expect(n);
+    Digits d;
+    d.a.emplace_back(n);
+    d.b0.emplace_back(n);
+    d.b1.emplace_back(n);
+    std::vector<std::uint64_t> expect0(n), expect1(n);
     std::vector<std::uint32_t> perm(n);
     for (std::size_t k = 0; k < n; ++k) {
-        a[k] = k + 1;
-        b[k] = 2 * k + 1;
+        d.a[0][k] = k + 1;
+        d.b0[0][k] = 2 * k + 1;
+        d.b1[0][k] = 3 * k + 2;
         perm[k] = static_cast<std::uint32_t>(n - 1 - k);
     }
-    for (std::size_t k = 0; k < n; ++k)
-        expect[k] = q.mul(a[perm[k]], b[k]);
+    for (std::size_t k = 0; k < n; ++k) {
+        expect0[k] = q.mul(d.a[0][perm[k]], d.b0[0][k]);
+        expect1[k] = q.mul(d.a[0][perm[k]], d.b1[0][k]);
+    }
+    std::vector<std::uint64_t> got0(n), got1(n);
+    simd::kernels().innerProduct(got0.data(), got1.data(),
+                                 d.ptrs(d.a).data(), d.ptrs(d.b0).data(),
+                                 d.ptrs(d.b1).data(), 1, perm.data(), n,
+                                 q);
+    EXPECT_EQ(got0, expect0);
+    EXPECT_EQ(got1, expect1);
+}
 
-    LazyLimbAccumulator acc(n);
-    acc.fmaGather(a, perm, b);
-    std::vector<std::uint64_t> got(n);
-    acc.reduceInto(got, q);
-    EXPECT_EQ(got, expect);
+TEST(InnerProduct, TakesNoWorkspaceLeases)
+{
+    // The digit sum lives in registers, so the keyswitch inner product
+    // needs no accumulator rows from the pool.
+    freshPool();
+    const Modulus q(65537);
+    const std::size_t n = 64;
+    Digits d;
+    for (std::size_t i = 0; i < 3; ++i) {
+        d.a.emplace_back(n, i + 1);
+        d.b0.emplace_back(n, i + 2);
+        d.b1.emplace_back(n, i + 3);
+    }
+    std::vector<std::uint64_t> got0(n), got1(n);
+    simd::kernels().innerProduct(got0.data(), got1.data(),
+                                 d.ptrs(d.a).data(), d.ptrs(d.b0).data(),
+                                 d.ptrs(d.b1).data(), 3, nullptr, n, q);
+    EXPECT_EQ(WorkspacePool::threadStats().hits, 0u);
+    EXPECT_EQ(WorkspacePool::threadStats().misses, 0u);
+    EXPECT_EQ(got0, std::vector<std::uint64_t>(n, 1 * 2 + 2 * 3 + 3 * 4));
+    EXPECT_EQ(got1, std::vector<std::uint64_t>(n, 1 * 3 + 2 * 4 + 3 * 5));
 }
 
 } // namespace

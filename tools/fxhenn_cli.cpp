@@ -270,13 +270,32 @@ struct ModelChoice
     bool elide;
 };
 
+/** Warn on stderr when a preset is below lambda = 128 on log QP, the
+ * modulus its evaluation keys live under. */
+void
+warnIfInsecure(const std::string &name, const ckks::CkksParams &params)
+{
+    if (params.securityLevel() >= 128)
+        return;
+    std::cerr << "warning: preset '" << name
+              << "' is below lambda=128: log QP = " << params.logQP()
+              << " bits, N=" << params.n << " allows "
+              << params.maxLogQP128();
+    if (params.lambdaLabel != 0)
+        std::cerr << " (the paper labels it lambda="
+                  << params.lambdaLabel << ")";
+    std::cerr << "\n";
+}
+
 ModelChoice
 pickModel(const std::string &name)
 {
     if (name == "mnist") {
+        warnIfInsecure(name, ckks::mnistParams());
         return {nn::buildMnistNetwork(), ckks::mnistParams(), false};
     }
     if (name == "cifar10") {
+        warnIfInsecure(name, ckks::cifar10Params());
         return {nn::buildCifar10Network(), ckks::cifar10Params(), true};
     }
     throw ConfigError("unknown model '" + name +
@@ -588,9 +607,10 @@ cmdVerify(const Args &args)
     options.guard.policy =
         robustness::parseGuardPolicy(args.get("guard", "degrade"));
     options.backend = args.get("backend", "");
+    const auto params = ckks::testParams(2048, 7, 30);
+    warnIfInsecure("test", params);
     const auto result = hecnn::verifyAgainstPlaintext(
-        nn::buildTestNetwork(), ckks::testParams(2048, 7, 30),
-        options);
+        nn::buildTestNetwork(), params, options);
     if (result.failure) {
         std::cout << "encrypted inference DEGRADED\n\n"
                   << result.renderDiagnosis() << "\nDEGRADED\n";
@@ -626,9 +646,11 @@ cmdBatch(const Args &args)
     const std::string modelName = args.get("model", "test");
     auto [net, params] =
         [&]() -> std::pair<nn::Network, ckks::CkksParams> {
-        if (modelName == "test")
-            return {nn::buildTestNetwork(),
-                    ckks::testParams(2048, 7, 30)};
+        if (modelName == "test") {
+            const auto testParams = ckks::testParams(2048, 7, 30);
+            warnIfInsecure(modelName, testParams);
+            return {nn::buildTestNetwork(), testParams};
+        }
         auto model = pickModel(modelName);
         FXHENN_FATAL_IF(model.elide,
                         "model '" + modelName +
