@@ -25,10 +25,10 @@
 #include <set>
 #include <string>
 
-#include "src/analysis/liveness.hpp"
+#include "src/common/table_printer.hpp"
+#include "src/hecnn/liveness.hpp"
 #include "src/hecnn/noise_cert.hpp"
 #include "src/hecnn/rotation_groups.hpp"
-#include "src/modarith/primes.hpp"
 
 namespace fxhenn::analysis {
 
@@ -42,14 +42,8 @@ makePlanFacts(const HeNetworkPlan &plan)
 {
     PlanFacts facts{plan};
     facts.slots = static_cast<std::size_t>(plan.params.n / 2);
-    facts.schemeScale = plan.params.scale;
     try {
-        plan.params.validate();
-        const auto primes = generateNttPrimes(
-            plan.params.qBits, plan.params.n, plan.params.levels);
-        facts.primes.reserve(primes.size());
-        for (std::uint64_t q : primes)
-            facts.primes.push_back(static_cast<double>(q));
+        facts.chain = hecnn::ShapeChain::ofParams(plan.params);
         facts.paramsValid = true;
     } catch (const std::exception &) {
         // Diagnosed by the passes that need the prime chain.
@@ -126,7 +120,7 @@ class DefUsePass final : public AnalysisPass
                     }
                 };
                 require_written(instr.src);
-                if (instr.kind == HeOpKind::ccAdd &&
+                if (hecnn::opInfo(instr.kind).readsDst &&
                     instr.dst != instr.src)
                     require_written(instr.dst);
                 written[static_cast<std::size_t>(instr.dst)] = 1;
@@ -165,7 +159,6 @@ class ScaleLevelPass final : public AnalysisPass
     void
     run(const PlanFacts &facts, AnalysisReport &report) const override
     {
-        const HeNetworkPlan &plan = facts.plan;
         if (!facts.paramsValid) {
             report.addNetwork(Severity::error, name(),
                               "CKKS parameters are invalid; cannot "
@@ -173,330 +166,86 @@ class ScaleLevelPass final : public AnalysisPass
                               "fix plan.params before re-linting");
             return;
         }
-
-        // log2 of the modulus at each level (prefix products).
-        std::vector<double> log_q(plan.params.levels + 1, 0.0);
-        for (std::size_t l = 1; l <= plan.params.levels; ++l)
-            log_q[l] = log_q[l - 1] + std::log2(facts.primes[l - 1]);
-
-        struct RegState
-        {
-            bool written = false;
-            std::size_t level = 0;
-            double scale = 0.0;
-            std::size_t parts = 2;
-        };
-        std::vector<RegState> regs(
-            static_cast<std::size_t>(std::max(plan.regCount, 0)));
-        for (std::size_t i = 0;
-             i < plan.inputGather.size() && i < regs.size(); ++i) {
-            regs[i] = {true, plan.params.levels, facts.schemeScale, 2};
-        }
-
-        for (std::size_t li = 0; li < plan.layers.size(); ++li) {
-            const HeLayerPlan &layer = plan.layers[li];
-            checkLevelChain(facts, li, report);
-            for (std::size_t ii = 0; ii < layer.instrs.size(); ++ii) {
-                const HeInstr &instr = layer.instrs[ii];
-                if (!facts.regOk(instr.dst) || !facts.regOk(instr.src))
-                    continue; // def-use reports the range violation
-                RegState &src =
-                    regs[static_cast<std::size_t>(instr.src)];
-                RegState &dst =
-                    regs[static_cast<std::size_t>(instr.dst)];
-                if (!src.written)
-                    continue; // def-use reports the uninitialized read
-                checkInstr(facts, li, ii, instr, src, dst, log_q,
-                           report);
-                apply(facts, instr, src, dst);
-            }
-            checkLayerExit(facts, li, regs, report);
-        }
+        Walk walk{facts, report, name(), {}};
+        hecnn::walkPlan(facts.plan, facts.chain, walk);
     }
 
   private:
-    template <typename RegState>
-    void
-    checkInstr(const PlanFacts &facts, std::size_t li, std::size_t ii,
-               const HeInstr &instr, const RegState &src,
-               const RegState &dst,
-               const std::vector<double> &log_q,
-               AnalysisReport &report) const
+    /** The pass's share of the plan walk: report what checkShape finds
+     *  plus the per-layer level metadata. Def-use reports operands the
+     *  walk cannot step. */
+    struct Walk
     {
-        const HeNetworkPlan &plan = facts.plan;
-        const std::string &lname = plan.layers[li].name;
-        switch (instr.kind) {
-          case HeOpKind::pcMult: {
-            if (!facts.ptOk(instr.pt))
-                break; // slot-layout reports the pool violation
-            const auto &pt =
-                plan.plaintexts[static_cast<std::size_t>(instr.pt)];
-            if (pt.level != src.level) {
-                report.addInstr(
-                    Severity::error, name(), li, lname, ii,
-                    "pcMult plaintext " + std::to_string(instr.pt) +
-                        " is encoded at level " +
-                        std::to_string(pt.level) +
-                        " but operand " + regName(instr.src) +
-                        " is at level " + std::to_string(src.level),
-                    "re-encode the plaintext at level " +
-                        std::to_string(src.level));
-            }
-            checkScaleFits(li, ii, lname,
-                           src.scale * facts.schemeScale, src.level,
-                           log_q, report);
-            break;
-          }
-          case HeOpKind::pcAdd: {
-            if (!facts.ptOk(instr.pt))
-                break;
-            const auto &pt =
-                plan.plaintexts[static_cast<std::size_t>(instr.pt)];
-            if (pt.level != src.level) {
-                report.addInstr(
-                    Severity::warning, name(), li, lname, ii,
-                    "pcAdd plaintext " + std::to_string(instr.pt) +
-                        " carries stale level metadata (" +
-                        std::to_string(pt.level) + " vs operand " +
-                        std::to_string(src.level) + ")",
-                    "the runtime re-encodes bias adds at the "
-                    "ciphertext level; fix the pool level anyway");
-            }
-            break;
-          }
-          case HeOpKind::ccAdd: {
-            if (!dst.written)
-                break; // def-use reports it
-            if (dst.level != src.level) {
-                report.addInstr(
-                    Severity::error, name(), li, lname, ii,
-                    "ccAdd level mismatch: " + regName(instr.dst) +
-                        " at level " + std::to_string(dst.level) +
-                        ", " + regName(instr.src) + " at level " +
-                        std::to_string(src.level),
-                    "rescale or mod-switch the higher operand first");
-            } else if (dst.parts != src.parts) {
-                report.addInstr(
-                    Severity::error, name(), li, lname, ii,
-                    "ccAdd part-count mismatch: " +
-                        regName(instr.dst) + " has " +
-                        std::to_string(dst.parts) + " parts, " +
-                        regName(instr.src) + " has " +
-                        std::to_string(src.parts),
-                    "relinearize the 3-part operand first");
-            } else if (scaleMismatch(dst.scale, src.scale)) {
-                report.addInstr(
-                    Severity::error, name(), li, lname, ii,
-                    "ccAdd scale mismatch: " + regName(instr.dst) +
-                        " at 2^" + fmtBits(std::log2(dst.scale)) +
-                        ", " + regName(instr.src) + " at 2^" +
-                        fmtBits(std::log2(src.scale)),
-                    "the sum of mis-scaled operands decrypts to "
-                    "garbage; align the rescale chains");
-            }
-            break;
-          }
-          case HeOpKind::ccMult:
-            if (src.parts != 2) {
-                report.addInstr(Severity::error, name(), li, lname,
-                                ii,
-                                "ccMult expects a 2-part operand, " +
-                                    regName(instr.src) + " has " +
-                                    std::to_string(src.parts),
-                                "relinearize before multiplying");
-            }
-            checkScaleFits(li, ii, lname, src.scale * src.scale,
-                           src.level, log_q, report);
-            break;
-          case HeOpKind::relinearize:
-            if (src.parts != 3) {
-                report.addInstr(
-                    Severity::error, name(), li, lname, ii,
-                    "relinearize expects a 3-part operand, " +
-                        regName(instr.src) + " has " +
-                        std::to_string(src.parts));
-            }
-            break;
-          case HeOpKind::rescale:
-            if (src.level < 2) {
-                report.addInstr(
-                    Severity::error, name(), li, lname, ii,
-                    "level underflow: rescale at level " +
-                        std::to_string(src.level) +
-                        " has no prime left to drop",
-                    "deepen the parameter set or shorten the "
-                    "network");
-            } else if (src.scale <
-                       facts.schemeScale * 2.0) {
-                report.addInstr(
-                    Severity::error, name(), li, lname, ii,
-                    "double rescale: " + regName(instr.src) +
-                        " is already at scale 2^" +
-                        fmtBits(std::log2(src.scale)) +
-                        " (at or below the scheme scale)",
-                    "a rescale without a preceding multiply divides "
-                    "the message away");
-            }
-            break;
-          case HeOpKind::rotate:
-            if (src.parts != 2) {
-                report.addInstr(
-                    Severity::error, name(), li, lname, ii,
-                    "rotate expects a 2-part operand, " +
-                        regName(instr.src) + " has " +
-                        std::to_string(src.parts),
-                    "relinearize before rotating");
-            }
-            break;
-          case HeOpKind::copy:
-            break;
-        }
-    }
+        const PlanFacts &facts;
+        AnalysisReport &report;
+        const char *pass;
+        std::vector<hecnn::ShapeFinding> findings;
 
-    void
-    checkScaleFits(std::size_t li, std::size_t ii,
-                   const std::string &lname, double product_scale,
-                   std::size_t level, const std::vector<double> &log_q,
-                   AnalysisReport &report) const
-    {
-        if (level == 0 || level >= log_q.size())
-            return; // level chain errors are reported elsewhere
-        // The evaluator's checkScaleFits: +2 bits of drift allowance.
-        if (std::log2(product_scale) > log_q[level] + 2.0) {
-            report.addInstr(
-                Severity::error, name(), li, lname, ii,
-                "product scale 2^" +
-                    fmtBits(std::log2(product_scale)) +
-                    " exceeds the modulus at level " +
-                    std::to_string(level) + " (log Q = " +
-                    fmtBits(log_q[level]) + ")",
-                "rescale before multiplying again");
-        }
-    }
-
-    void
-    checkLevelChain(const PlanFacts &facts, std::size_t li,
-                    AnalysisReport &report) const
-    {
-        const HeNetworkPlan &plan = facts.plan;
-        const HeLayerPlan &layer = plan.layers[li];
-        if (layer.levelIn == 0 ||
-            layer.levelIn > plan.params.levels ||
-            layer.levelOut > layer.levelIn) {
-            report.addLayer(
-                Severity::error, name(), li, layer.name,
-                "corrupt layer levels: levelIn " +
-                    std::to_string(layer.levelIn) + ", levelOut " +
-                    std::to_string(layer.levelOut) + " (params have " +
-                    std::to_string(plan.params.levels) + " levels)");
-            return;
-        }
-        if (li == 0) {
-            if (layer.levelIn != plan.params.levels) {
+        void
+        layerBegin(std::size_t li)
+        {
+            const HeNetworkPlan &plan = facts.plan;
+            const HeLayerPlan &layer = plan.layers[li];
+            if (layer.levelIn == 0 ||
+                layer.levelIn > plan.params.levels ||
+                layer.levelOut > layer.levelIn) {
                 report.addLayer(
-                    Severity::error, name(), li, layer.name,
-                    "first layer starts at level " +
+                    Severity::error, pass, li, layer.name,
+                    "corrupt layer levels: levelIn " +
+                        std::to_string(layer.levelIn) + ", levelOut " +
+                        std::to_string(layer.levelOut) +
+                        " (params have " +
+                        std::to_string(plan.params.levels) + " levels)");
+                return;
+            }
+            if (li == 0) {
+                if (layer.levelIn != plan.params.levels) {
+                    report.addLayer(
+                        Severity::error, pass, li, layer.name,
+                        "first layer starts at level " +
+                            std::to_string(layer.levelIn) +
+                            " but fresh ciphertexts enter at level " +
+                            std::to_string(plan.params.levels));
+                }
+            } else if (layer.levelIn != plan.layers[li - 1].levelOut) {
+                report.addLayer(
+                    Severity::error, pass, li, layer.name,
+                    "level chain broken: levelIn " +
                         std::to_string(layer.levelIn) +
-                        " but fresh ciphertexts enter at level " +
-                        std::to_string(plan.params.levels));
-            }
-        } else if (layer.levelIn != plan.layers[li - 1].levelOut) {
-            report.addLayer(
-                Severity::error, name(), li, layer.name,
-                "level chain broken: levelIn " +
-                    std::to_string(layer.levelIn) +
-                    " does not match the previous layer's levelOut " +
-                    std::to_string(plan.layers[li - 1].levelOut));
-        }
-    }
-
-    template <typename RegStateVec>
-    void
-    checkLayerExit(const PlanFacts &facts, std::size_t li,
-                   const RegStateVec &regs,
-                   AnalysisReport &report) const
-    {
-        const HeLayerPlan &layer = facts.plan.layers[li];
-        for (std::int32_t reg : layer.outputLayout.regs) {
-            if (!facts.regOk(reg))
-                continue; // slot-layout reports it
-            const auto &state =
-                regs[static_cast<std::size_t>(reg)];
-            if (!state.written)
-                continue; // def-use reports it
-            if (state.level != layer.levelOut) {
-                report.addLayer(
-                    Severity::error, name(), li, layer.name,
-                    "levelOut metadata disagrees with the "
-                    "instruction stream: " +
-                        regName(reg) + " ends at level " +
-                        std::to_string(state.level) +
-                        " but the plan says " +
-                        std::to_string(layer.levelOut),
-                    "recompute levelIn/levelOut from the lowered "
-                    "stream");
-                return; // one metadata finding per layer is enough
+                        " does not match the previous layer's levelOut " +
+                        std::to_string(plan.layers[li - 1].levelOut));
             }
         }
-    }
 
-    template <typename RegState>
-    void
-    apply(const PlanFacts &facts, const HeInstr &instr,
-          const RegState &src_in, RegState &dst) const
-    {
-        const RegState src = src_in; // dst may alias src
-        switch (instr.kind) {
-          case HeOpKind::pcMult:
-            dst = src;
-            dst.scale = src.scale * facts.schemeScale;
-            break;
-          case HeOpKind::pcAdd:
-            dst = src;
-            break;
-          case HeOpKind::ccAdd:
-            break;
-          case HeOpKind::ccMult:
-            dst = src;
-            dst.scale = src.scale * src.scale;
-            dst.parts = 3;
-            break;
-          case HeOpKind::relinearize:
-            dst = src;
-            dst.parts = 2;
-            break;
-          case HeOpKind::rescale:
-            dst = src;
-            if (src.level >= 2) {
-                dst.scale =
-                    src.scale / facts.primes[src.level - 1];
-                dst.level = src.level - 1;
+        void
+        op(std::size_t li, std::size_t ii, const HeInstr &in,
+           const hecnn::RegShape *src, const hecnn::RegShape *dst)
+        {
+            if (!hecnn::operandsReady(src, dst))
+                return;
+            findings.clear();
+            hecnn::checkShape(in, *src, *dst, facts.chain,
+                              facts.plan.plaintexts, findings);
+            for (const hecnn::ShapeFinding &f : findings) {
+                report.addInstr(f.error ? Severity::error
+                                        : Severity::warning,
+                                pass, li, facts.plan.layers[li].name, ii,
+                                f.message, f.hint);
             }
-            break;
-          case HeOpKind::rotate:
-          case HeOpKind::copy:
-            dst = src;
-            break;
         }
-        dst.written = true;
-    }
 
-    static bool
-    scaleMismatch(double a, double b)
-    {
-        if (!(a > 0.0) || !(b > 0.0))
-            return true;
-        const double ratio = a / b;
-        return ratio < 0.99 || ratio > 1.01;
-    }
-
-    static std::string
-    fmtBits(double v)
-    {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.3g", v);
-        return buf;
-    }
+        void
+        layerEnd(std::size_t li, std::span<const hecnn::RegShape> regs)
+        {
+            // Unwritten outputs are def-use's, out-of-range ones
+            // slot-layout's; one metadata finding per layer is enough.
+            const HeLayerPlan &layer = facts.plan.layers[li];
+            if (const auto f = hecnn::checkLayerExit(
+                    layer, layer.outputLayout.regs, regs))
+                report.addLayer(Severity::error, pass, li, layer.name,
+                                f->message, f->hint);
+        }
+    };
 };
 
 // --- pass 3: liveness ------------------------------------------------------
@@ -514,8 +263,9 @@ class LivenessPass final : public AnalysisPass
     void
     run(const PlanFacts &facts, AnalysisReport &report) const override
     {
-        const LivenessInfo info = computeLiveness(facts.plan);
-        for (const DeadInstr &dead : info.deadInstrs) {
+        const hecnn::LivenessInfo info =
+            hecnn::computeLiveness(facts.plan);
+        for (const hecnn::DeadInstr &dead : info.deadInstrs) {
             const HeLayerPlan &layer = facts.plan.layers[dead.layer];
             const HeInstr &instr = layer.instrs[dead.instr];
             report.addInstr(
@@ -749,8 +499,8 @@ class LayoutPass final : public AnalysisPass
         const HeLayerPlan &layer = facts.plan.layers[li];
         for (std::size_t ii = 0; ii < layer.instrs.size(); ++ii) {
             const HeInstr &instr = layer.instrs[ii];
-            const bool uses_pool = instr.kind == HeOpKind::pcMult ||
-                                   instr.kind == HeOpKind::pcAdd;
+            const bool uses_pool =
+                hecnn::opInfo(instr.kind).readsPlaintext;
             if (uses_pool && !facts.ptOk(instr.pt)) {
                 report.addInstr(
                     Severity::error, name(), li, layer.name, ii,
@@ -952,14 +702,6 @@ class NoiseBudgetPass final : public AnalysisPass
 
   private:
     static std::string
-    fmtBits(double v)
-    {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.3g", v);
-        return buf;
-    }
-
-    static std::string
     fmtSigned(double v)
     {
         char buf[32];
@@ -988,98 +730,8 @@ class RescalePlacementPass final : public AnalysisPass
         if (!facts.paramsValid)
             return; // scale-level reports the broken prime chain
 
-        struct St
-        {
-            bool written = false;
-            std::size_t level = 0;
-            double scale = 0.0;
-            HeOpKind lastWriter = HeOpKind::copy;
-            std::size_t lastWriterInstr = 0;
-            bool readSinceWrite = false;
-        };
-        std::vector<St> regs(
-            static_cast<std::size_t>(std::max(plan.regCount, 0)));
-        for (std::size_t i = 0;
-             i < plan.inputGather.size() && i < regs.size(); ++i)
-            regs[i] = {true, plan.params.levels, facts.schemeScale,
-                       HeOpKind::copy, 0, false};
-
-        for (std::size_t li = 0; li < plan.layers.size(); ++li) {
-            const HeLayerPlan &layer = plan.layers[li];
-            std::size_t deferrable = 0;
-            for (std::size_t ii = 0; ii < layer.instrs.size(); ++ii) {
-                const HeInstr &instr = layer.instrs[ii];
-                if (!facts.regOk(instr.dst) ||
-                    !facts.regOk(instr.src))
-                    continue; // def-use reports it
-                St &src = regs[static_cast<std::size_t>(instr.src)];
-                St &dst = regs[static_cast<std::size_t>(instr.dst)];
-                if (!src.written)
-                    continue; // def-use reports it
-
-                // Missing rescale: an operand still carrying a full
-                // multiply's scale growth is about to be multiplied
-                // again — the product overshoots the waterline by a
-                // whole scale factor.
-                if ((instr.kind == HeOpKind::pcMult ||
-                     instr.kind == HeOpKind::ccMult) &&
-                    src.scale >=
-                        facts.schemeScale * facts.schemeScale * 0.5) {
-                    report.addInstr(
-                        Severity::warning, name(), li, layer.name, ii,
-                        "missing rescale: operand " +
-                            regName(instr.src) + " at scale 2^" +
-                            fmtBits(std::log2(src.scale)) +
-                            " has not been rescaled since its last "
-                            "multiply",
-                        "insert a rescale before multiplying again to "
-                        "stay at the scale waterline");
-                }
-
-                // Deferrable rescale: both operands of an aligned add
-                // were produced directly by rescales — sinking the
-                // rescale below the add saves one NTT-heavy op.
-                if (instr.kind == HeOpKind::ccAdd && dst.written &&
-                    dst.lastWriter == HeOpKind::rescale &&
-                    src.lastWriter == HeOpKind::rescale &&
-                    dst.level == src.level &&
-                    scalesClose(dst.scale, src.scale))
-                    ++deferrable;
-
-                // Redundant rescale: the value a pure overwrite
-                // clobbers was produced by a rescale nobody read.
-                const bool pure_overwrite =
-                    instr.kind != HeOpKind::ccAdd &&
-                    instr.dst != instr.src;
-                if (pure_overwrite && dst.written &&
-                    dst.lastWriter == HeOpKind::rescale &&
-                    !dst.readSinceWrite) {
-                    report.addInstr(
-                        Severity::warning, name(), li, layer.name,
-                        dst.lastWriterInstr,
-                        "redundant rescale: the result in " +
-                            regName(instr.dst) +
-                            " is overwritten before any use",
-                        "delete the rescale or consume its result");
-                }
-
-                src.readSinceWrite = true;
-                if (instr.kind == HeOpKind::ccAdd)
-                    dst.readSinceWrite = true;
-                apply(facts, instr, src, dst, ii);
-            }
-            if (deferrable > 0) {
-                report.addLayer(
-                    Severity::note, name(), li, layer.name,
-                    std::to_string(deferrable) +
-                        " addition(s) consume freshly rescaled "
-                        "operands; deferring those rescales past the "
-                        "adds would eliminate up to " +
-                        std::to_string(deferrable) + " rescale op(s)",
-                    "enable CompileOptions::rescaleWaterline for the "
-                    "certified rewrite");
-            }
-        }
+        Walk walk(facts, report, name());
+        hecnn::walkPlan(plan, facts.chain, walk);
 
         // Wasted levels: a chain deeper than the network consumes.
         if (!plan.layers.empty()) {
@@ -1099,44 +751,102 @@ class RescalePlacementPass final : public AnalysisPass
     }
 
   private:
-    template <typename St>
-    void
-    apply(const PlanFacts &facts, const HeInstr &instr,
-          const St &src_in, St &dst, std::size_t ii) const
+    /** The pass's share of the plan walk: who last wrote each register
+     *  and whether that value has been read since. */
+    struct Walk
     {
-        const St src = src_in; // dst may alias src
-        switch (instr.kind) {
-          case HeOpKind::pcMult:
-            dst = src;
-            dst.scale = src.scale * facts.schemeScale;
-            break;
-          case HeOpKind::pcAdd:
-            dst = src;
-            break;
-          case HeOpKind::ccAdd:
-            break; // dst shape unchanged
-          case HeOpKind::ccMult:
-            dst = src;
-            dst.scale = src.scale * src.scale;
-            break;
-          case HeOpKind::relinearize:
-          case HeOpKind::rotate:
-          case HeOpKind::copy:
-            dst = src;
-            break;
-          case HeOpKind::rescale:
-            dst = src;
-            if (src.level >= 2) {
-                dst.scale = src.scale / facts.primes[src.level - 1];
-                dst.level = src.level - 1;
-            }
-            break;
+        struct Writer
+        {
+            HeOpKind kind = HeOpKind::copy;
+            std::size_t instr = 0;
+            bool readSince = false;
+        };
+
+        const PlanFacts &facts;
+        AnalysisReport &report;
+        const char *pass;
+        std::vector<Writer> writers;
+        std::size_t deferrable = 0;
+
+        Walk(const PlanFacts &f, AnalysisReport &r, const char *p)
+            : facts(f), report(r), pass(p),
+              writers(static_cast<std::size_t>(
+                  std::max(f.plan.regCount, std::int32_t{0})))
+        {
         }
-        dst.written = true;
-        dst.lastWriter = instr.kind;
-        dst.lastWriterInstr = ii;
-        dst.readSinceWrite = false;
-    }
+
+        void
+        op(std::size_t li, std::size_t ii, const HeInstr &in,
+           const hecnn::RegShape *src, const hecnn::RegShape *dst)
+        {
+            if (!hecnn::operandsReady(src, dst))
+                return; // def-use reports it
+            const std::string &lname = facts.plan.layers[li].name;
+            const double delta = facts.chain.scale;
+            Writer &srcW = writers[static_cast<std::size_t>(in.src)];
+            Writer &dstW = writers[static_cast<std::size_t>(in.dst)];
+
+            // Missing rescale: an operand still carrying a full
+            // multiply's scale growth is about to be multiplied again —
+            // the product overshoots the waterline by a whole scale
+            // factor.
+            if ((in.kind == HeOpKind::pcMult ||
+                 in.kind == HeOpKind::ccMult) &&
+                src->scale >= delta * delta * 0.5) {
+                report.addInstr(
+                    Severity::warning, pass, li, lname, ii,
+                    "missing rescale: operand " + regName(in.src) +
+                        " at scale 2^" + fmtBits(std::log2(src->scale)) +
+                        " has not been rescaled since its last multiply",
+                    "insert a rescale before multiplying again to stay "
+                    "at the scale waterline");
+            }
+
+            // Deferrable rescale: both operands of an aligned add were
+            // produced directly by rescales — sinking the rescale below
+            // the add saves one NTT-heavy op.
+            if (in.kind == HeOpKind::ccAdd && dst->written &&
+                dstW.kind == HeOpKind::rescale &&
+                srcW.kind == HeOpKind::rescale &&
+                dst->level == src->level &&
+                scalesClose(dst->scale, src->scale))
+                ++deferrable;
+
+            // Redundant rescale: the value a pure overwrite clobbers was
+            // produced by a rescale nobody read.
+            const bool pure_overwrite =
+                in.kind != HeOpKind::ccAdd && in.dst != in.src;
+            if (pure_overwrite && dst->written &&
+                dstW.kind == HeOpKind::rescale && !dstW.readSince) {
+                report.addInstr(
+                    Severity::warning, pass, li, lname, dstW.instr,
+                    "redundant rescale: the result in " +
+                        regName(in.dst) +
+                        " is overwritten before any use",
+                    "delete the rescale or consume its result");
+            }
+
+            srcW.readSince = true;
+            dstW = {in.kind, ii, false};
+        }
+
+        void
+        layerEnd(std::size_t li, std::span<const hecnn::RegShape>)
+        {
+            if (deferrable > 0) {
+                report.addLayer(
+                    Severity::note, pass, li, facts.plan.layers[li].name,
+                    std::to_string(deferrable) +
+                        " addition(s) consume freshly rescaled "
+                        "operands; deferring those rescales past the "
+                        "adds would eliminate up to " +
+                        std::to_string(deferrable) + " rescale op(s)",
+                    "run fxhenn lint --rewrite 1 for the certified "
+                    "rewrite");
+            }
+            deferrable = 0;
+        }
+    };
 
     static bool
     scalesClose(double a, double b)
@@ -1145,14 +855,6 @@ class RescalePlacementPass final : public AnalysisPass
             return false;
         const double ratio = a / b;
         return ratio > 0.99 && ratio < 1.01;
-    }
-
-    static std::string
-    fmtBits(double v)
-    {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.3g", v);
-        return buf;
     }
 };
 

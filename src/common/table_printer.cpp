@@ -1,5 +1,7 @@
 #include "src/common/table_printer.hpp"
 
+#include <cstdio>
+
 #include <algorithm>
 #include <iomanip>
 #include <ostream>
@@ -92,6 +94,14 @@ std::string
 fmtPct(double fraction)
 {
     return fmtF(fraction * 100.0, 2);
+}
+
+std::string
+fmtBits(double value)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.3g", value);
+    return buf;
 }
 
 } // namespace fxhenn

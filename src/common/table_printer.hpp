@@ -50,6 +50,10 @@ std::string fmtI(long long value);
 /** Format a value as a percentage with two decimals (no % sign). */
 std::string fmtPct(double fraction);
 
+/** Format a value with three significant digits (printf "%.3g"), the
+ *  form every log2 bit count and headroom is reported in. */
+std::string fmtBits(double value);
+
 } // namespace fxhenn
 
 #endif // FXHENN_COMMON_TABLE_PRINTER_HPP

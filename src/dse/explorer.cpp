@@ -5,7 +5,7 @@
 #include <limits>
 #include <sstream>
 
-#include "src/analysis/liveness.hpp"
+#include "src/hecnn/liveness.hpp"
 #include "src/common/assert.hpp"
 #include "src/fpga/pipeline_sim.hpp"
 #include "src/hecnn/noise_cert.hpp"
@@ -114,7 +114,7 @@ explore(const hecnn::HeNetworkPlan &plan, const fpga::DeviceSpec &device,
     // search (the bound is allocation-independent).
     std::vector<unsigned> peak_live;
     if (options.livenessBuffers)
-        peak_live = analysis::computeLiveness(plan).peakLive;
+        peak_live = hecnn::computeLiveness(plan).peakLive;
     const std::vector<unsigned> *peaks =
         options.livenessBuffers ? &peak_live : nullptr;
 

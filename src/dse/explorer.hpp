@@ -57,7 +57,7 @@ struct ExploreOptions
 
     /**
      * Tighten each layer's BRAM demand with its register-liveness
-     * peak (analysis::computeLiveness): buffer replication beyond the
+     * peak (hecnn::computeLiveness): buffer replication beyond the
      * number of simultaneously live ciphertexts is provably unused.
      * The bound never grows, so the feasible set only expands and the
      * best latency can only improve or stay put.

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
+#include <string_view>
 
 #include "src/common/assert.hpp"
 #include "src/common/parallel.hpp"
@@ -28,6 +28,9 @@ percentile(std::vector<double> &sample, double q)
     return sample[idx];
 }
 
+/** EWMA weight of the online service-time estimate. */
+constexpr double kServiceEwmaAlpha = 0.2;
+
 std::chrono::steady_clock::duration
 secondsToDuration(double seconds)
 {
@@ -46,7 +49,7 @@ InferenceEngine::InferenceEngine(const hecnn::HeNetworkPlan &plan,
       executor_(plan, context, session_.relinKey(),
                 session_.galoisKeys(), pool_, options.guard,
                 options.exec),
-      estimator_(options.serviceEwmaAlpha), breaker_(options.breaker),
+      estimator_(kServiceEwmaAlpha), breaker_(options.breaker),
       lanes_(plan.batchLanes == 0 ? 1 : plan.batchLanes),
       queue_(options.queueCapacity == 0 ? 1 : options.queueCapacity)
 {
@@ -72,124 +75,13 @@ InferenceEngine::resolveDeadline(const RequestOptions &req,
     return now + secondsToDuration(seconds);
 }
 
-hecnn::InferOutcome
-InferenceEngine::rejectOutcome(const char *op,
-                               const std::string &reason)
-{
-    robustness::FailureReport report;
-    report.layer = "admission";
-    report.op = op;
-    report.reason = reason;
-    hecnn::InferOutcome out;
-    out.failure = std::move(report);
-    return out;
-}
-
-hecnn::InferOutcome
-InferenceEngine::runRequest(
-    const nn::Tensor &input, std::uint64_t index,
-    const std::optional<Clock::time_point> &deadline)
-{
-    FXHENN_TELEM_COUNT("engine.requests", 1);
-    hecnn::InferOutcome out;
-    // Injected transient infrastructure failure (a stand-in for a
-    // flaky interconnect, a preempted accelerator, ...): classified
-    // transient by transientFailure(), so the retry loop re-runs it.
-    if (auto fault = robustness::fireFault("engine.request")) {
-        robustness::FailureReport report;
-        report.layer = "request";
-        report.op = "transient";
-        report.reason = "injected transient request fault (kind " +
-                        fault->kind + ")";
-        out.failure = std::move(report);
-        return out;
-    }
-    try {
-        hecnn::RunControl control;
-        control.deadline = deadline;
-        auto result = executor_.execute(
-            session_.encryptInput(input, index), control);
-        out.budget = std::move(result.budget);
-        out.backendName = std::move(result.backendName);
-        out.opsExecuted = result.executed.total();
-        out.simulated = std::move(result.simulated);
-        if (result.failure) {
-            out.failure = std::move(result.failure);
-            return out;
-        }
-        out.logits = session_.decryptLogits(result.regs);
-    } catch (const ConfigError &e) {
-        // Request-level isolation: a malformed request (wrong tensor
-        // shape, corrupt state) fails alone instead of taking down the
-        // engine and its neighbors.
-        robustness::FailureReport report;
-        report.layer = "request";
-        report.op = "exception";
-        report.reason = e.what();
-        out.failure = std::move(report);
-        out.logits.clear();
-    } catch (const InternalError &e) {
-        robustness::FailureReport report;
-        report.layer = "request";
-        report.op = "exception";
-        report.reason = e.what();
-        out.failure = std::move(report);
-        out.logits.clear();
-    }
-    return out;
-}
-
-hecnn::InferOutcome
-InferenceEngine::runRequestWithRetry(
-    const nn::Tensor &input, std::uint64_t index,
-    const std::optional<Clock::time_point> &deadline)
-{
-    std::uint32_t attempt = 0;
-    for (;;) {
-        // Every attempt reuses (keySeed, index): the noise stream is a
-        // pure function of the pair, so a successful retry is bitwise
-        // identical to a first-try success and to the serial
-        // reference — retries are invisible in the logits.
-        hecnn::InferOutcome out = runRequest(input, index, deadline);
-        if (!out.degraded()) {
-            breaker_.onSuccess();
-            return out;
-        }
-        const bool retryable =
-            transientFailure(*out.failure) &&
-            attempt < options_.retry.maxRetries;
-        if (!retryable) {
-            breaker_.onFailure();
-            return out;
-        }
-        ++attempt;
-        const double backoff =
-            retryBackoffSeconds(options_.retry, attempt);
-        if (deadline &&
-            Clock::now() + secondsToDuration(backoff) > *deadline) {
-            // No budget left for another attempt: hand back the
-            // transient failure rather than blowing the deadline.
-            breaker_.onFailure();
-            return out;
-        }
-        {
-            std::scoped_lock lock(statsMutex_);
-            stats_.retries += 1;
-        }
-        FXHENN_TELEM_COUNT("engine.retries", 1);
-        if (backoff > 0.0)
-            std::this_thread::sleep_for(secondsToDuration(backoff));
-    }
-}
-
-InferenceEngine::GroupResult
+std::vector<hecnn::InferOutcome>
 InferenceEngine::runGroup(
     const std::vector<const nn::Tensor *> &inputs,
     const std::vector<std::uint64_t> &indices,
     const std::optional<Clock::time_point> &deadline)
 {
-    GroupResult group;
-    group.outcomes.resize(inputs.size());
+    std::vector<hecnn::InferOutcome> outcomes(inputs.size());
     FXHENN_TELEM_COUNT("engine.requests",
                        static_cast<std::int64_t>(inputs.size()));
 
@@ -203,11 +95,8 @@ InferenceEngine::runGroup(
         try {
             session_.validateInput(*inputs[b]);
         } catch (const ConfigError &e) {
-            robustness::FailureReport report;
-            report.layer = "request";
-            report.op = "exception";
-            report.reason = e.what();
-            group.outcomes[b].failure = std::move(report);
+            outcomes[b].failure = robustness::FailureReport{
+                "request", "exception", e.what(), {}};
             continue;
         }
         lanes[b] = inputs[b];
@@ -215,18 +104,15 @@ InferenceEngine::runGroup(
         liveSlots.push_back(b);
     }
     if (liveIndices.empty())
-        return group;
+        return outcomes;
 
+    // A failure of the shared run reaches every live member.
     const auto fail = [&](const std::string &reason, const char *op) {
         for (const std::size_t b : liveSlots) {
-            robustness::FailureReport report;
-            report.layer = "batch";
-            report.op = op;
-            report.reason = reason;
-            group.outcomes[b].failure = std::move(report);
-            group.outcomes[b].logits.clear();
+            outcomes[b].failure = robustness::FailureReport{
+                lanes_ > 1 ? "batch" : "request", op, reason, {}};
+            outcomes[b].logits.clear();
         }
-        group.sharedFailure = true;
     };
 
     // Injected transient infrastructure failure hits the shared run:
@@ -235,45 +121,37 @@ InferenceEngine::runGroup(
         fail("injected transient request fault (kind " + fault->kind +
                  ")",
              "transient");
-        group.sharedTransient = true;
-        return group;
+        return outcomes;
     }
 
     try {
         hecnn::RunControl control;
         control.deadline = deadline;
-        auto result = executor_.execute(
-            session_.encryptInputBatch(
-                std::span<const nn::Tensor *const>(lanes),
-                hecnn::ClientSession::batchRequestKey(liveIndices)),
+        // With one lane the key is the member's own request index.
+        const auto result = executor_.execute(
+            session_.encryptInput(
+                lanes, hecnn::ClientSession::batchRequestKey(liveIndices)),
             control);
-        for (const std::size_t b : liveSlots) {
-            group.outcomes[b].budget = result.budget;
-            group.outcomes[b].backendName = result.backendName;
-            group.outcomes[b].opsExecuted = result.executed.total();
-            group.outcomes[b].simulated = result.simulated;
-        }
+        const hecnn::InferOutcome shared = hecnn::runOutcome(result);
+        for (const std::size_t b : liveSlots)
+            outcomes[b] = shared;
         if (result.failure) {
             // Whole-group degradation (guard violation, mid-run
             // deadline abort): every member gets the honest report —
             // never the garbage logits of a poisoned ciphertext.
-            for (const std::size_t b : liveSlots)
-                group.outcomes[b].failure = result.failure;
-            group.sharedFailure = true;
-            group.sharedTransient = transientFailure(*result.failure);
-            return group;
+            return outcomes;
         }
         // Lanes are indexed by group position (a shed sibling leaves
         // its lane zeroed, not compacted), so member b demuxes lane b.
-        const auto demuxed = session_.decryptLogitsBatch(result.regs);
+        const auto demuxed = session_.decryptLogits(result.regs);
         for (const std::size_t b : liveSlots)
-            group.outcomes[b].logits = demuxed[b];
+            outcomes[b].logits = demuxed[b];
     } catch (const ConfigError &e) {
         fail(e.what(), "exception");
     } catch (const InternalError &e) {
         fail(e.what(), "exception");
     }
-    return group;
+    return outcomes;
 }
 
 std::vector<hecnn::InferOutcome>
@@ -284,27 +162,39 @@ InferenceEngine::runGroupWithRetry(
 {
     std::uint32_t attempt = 0;
     for (;;) {
-        // The batched encryption stream is a pure function of
-        // (keySeed, member composition), so a successful whole-group
-        // retry is bitwise identical to a first-try success.
-        GroupResult group = runGroup(inputs, indices, deadline);
-        if (!group.sharedFailure) {
+        // The encryption stream is a pure function of (keySeed, member
+        // composition), so a successful retry is bitwise identical to
+        // a first-try success and to the serial reference — retries
+        // are invisible in the logits.
+        auto outcomes = runGroup(inputs, indices, deadline);
+        // One breaker rule at every batch size: a run counts as one
+        // failure when none of its members got logits. It is retried
+        // when its shared run failed transiently (a member that failed
+        // validation alone carries the permanent "exception" op).
+        const auto ok = [](const hecnn::InferOutcome &o) {
+            return !o.degraded();
+        };
+        const auto transient = [](const hecnn::InferOutcome &o) {
+            return transientFailure(*o.failure);
+        };
+        if (std::any_of(outcomes.begin(), outcomes.end(), ok)) {
             breaker_.onSuccess();
-            return std::move(group.outcomes);
+            return outcomes;
         }
-        const bool retryable = group.sharedTransient &&
-                               attempt < options_.retry.maxRetries;
-        if (!retryable) {
+        if (attempt >= options_.retry.maxRetries ||
+            !std::any_of(outcomes.begin(), outcomes.end(), transient)) {
             breaker_.onFailure();
-            return std::move(group.outcomes);
+            return outcomes;
         }
         ++attempt;
         const double backoff =
             retryBackoffSeconds(options_.retry, attempt);
         if (deadline &&
             Clock::now() + secondsToDuration(backoff) > *deadline) {
+            // No budget left for another attempt: hand back the
+            // transient failure rather than blowing the deadline.
             breaker_.onFailure();
-            return std::move(group.outcomes);
+            return outcomes;
         }
         {
             std::scoped_lock lock(statsMutex_);
@@ -320,6 +210,8 @@ void
 InferenceEngine::recordBatch(std::size_t liveMembers,
                              double windowWaitSeconds)
 {
+    if (lanes_ <= 1)
+        return; // an unbatched plan forms no batches
     if (telemetry::enabled()) {
         telemetry::histogram("engine.batch.size")
             .record(static_cast<std::uint64_t>(liveMembers));
@@ -390,21 +282,25 @@ InferenceEngine::recordExecuted(const hecnn::InferOutcome &outcome,
     }
 }
 
-void
-InferenceEngine::recordRejected(const hecnn::InferOutcome &outcome)
+hecnn::InferOutcome
+InferenceEngine::reject(const char *op, const std::string &reason)
 {
-    const bool expired =
-        outcome.failure && outcome.failure->op == "deadline";
+    const bool expired = std::string_view(op) == "deadline";
     if (expired)
         FXHENN_TELEM_COUNT("engine.deadline_expired", 1);
     else
         FXHENN_TELEM_COUNT("engine.shed", 1);
-    std::scoped_lock lock(statsMutex_);
-    stats_.completed += 1;
-    if (expired)
-        stats_.deadlineExpired += 1;
-    else
-        stats_.shed += 1;
+    {
+        std::scoped_lock lock(statsMutex_);
+        stats_.completed += 1;
+        if (expired)
+            stats_.deadlineExpired += 1;
+        else
+            stats_.shed += 1;
+    }
+    hecnn::InferOutcome out;
+    out.failure = robustness::FailureReport{"admission", op, reason, {}};
+    return out;
 }
 
 std::vector<hecnn::InferOutcome>
@@ -428,87 +324,49 @@ InferenceEngine::runBatch(const std::vector<nn::Tensor> &inputs,
     const auto deadline = resolveDeadline(req, Clock::now());
     std::vector<hecnn::InferOutcome> outcomes(inputs.size());
     Timer wall;
-    if (lanes_ <= 1) {
-        parallelForWorkers(
-            options_.workers, inputs.size(), [&](std::size_t i) {
-                const auto start = Clock::now();
-                if (!breaker_.admitAt(start)) {
-                    outcomes[i] = rejectOutcome(
-                        "breaker",
-                        "circuit breaker open: request shed before "
-                        "execution");
-                    recordRejected(outcomes[i]);
-                    return;
-                }
-                if (deadline && start > *deadline) {
-                    outcomes[i] = rejectOutcome(
-                        "deadline",
-                        "request deadline expired before execution "
-                        "started (never executed)");
-                    recordRejected(outcomes[i]);
-                    return;
-                }
-                Timer latency;
-                outcomes[i] =
-                    runRequestWithRetry(inputs[i], base + i, deadline);
-                recordExecuted(outcomes[i], 0.0,
-                               latency.elapsedSeconds());
-            });
-    } else {
-        // Batched plan: consecutive B-groups so the member composition
-        // (and with it the batched encryption stream) is deterministic
-        // regardless of which worker runs which group.
-        const std::size_t groups =
-            (inputs.size() + lanes_ - 1) / lanes_;
-        parallelForWorkers(
-            options_.workers, groups, [&](std::size_t g) {
-                const std::size_t lo = g * lanes_;
-                const std::size_t hi =
-                    std::min(inputs.size(), lo + lanes_);
-                std::vector<const nn::Tensor *> members;
-                std::vector<std::uint64_t> indices;
-                std::vector<std::size_t> positions;
-                // Shed-before-formation: breaker and deadline verdicts
-                // are per member, so a dead request never occupies a
-                // lane.
-                for (std::size_t i = lo; i < hi; ++i) {
-                    const auto start = Clock::now();
-                    if (!breaker_.admitAt(start)) {
-                        outcomes[i] = rejectOutcome(
-                            "breaker",
-                            "circuit breaker open: request shed "
-                            "before execution");
-                        recordRejected(outcomes[i]);
-                        continue;
-                    }
-                    if (deadline && start > *deadline) {
-                        outcomes[i] = rejectOutcome(
-                            "deadline",
-                            "request deadline expired before "
-                            "execution started (never executed)");
-                        recordRejected(outcomes[i]);
-                        continue;
-                    }
-                    members.push_back(&inputs[i]);
-                    indices.push_back(base + i);
-                    positions.push_back(i);
-                }
-                if (members.empty())
-                    return;
-                Timer latency;
-                auto groupOutcomes =
-                    runGroupWithRetry(members, indices, deadline);
-                const double serviceSeconds =
-                    latency.elapsedSeconds();
-                recordBatch(members.size(), 0.0);
-                for (std::size_t j = 0; j < positions.size(); ++j) {
-                    outcomes[positions[j]] =
-                        std::move(groupOutcomes[j]);
-                    recordExecuted(outcomes[positions[j]], 0.0,
-                                   serviceSeconds);
-                }
-            });
-    }
+    // Consecutive B-groups, so the member composition (and with it the
+    // encryption stream) is deterministic regardless of which worker
+    // runs which group. With one lane every request is its own group.
+    const std::size_t groups = (inputs.size() + lanes_ - 1) / lanes_;
+    parallelForWorkers(options_.workers, groups, [&](std::size_t g) {
+        const std::size_t lo = g * lanes_;
+        const std::size_t hi = std::min(inputs.size(), lo + lanes_);
+        std::vector<const nn::Tensor *> members;
+        std::vector<std::uint64_t> indices;
+        std::vector<std::size_t> positions;
+        // Shed-before-formation: breaker and deadline verdicts are per
+        // member, so a dead request never occupies a lane.
+        for (std::size_t i = lo; i < hi; ++i) {
+            const auto start = Clock::now();
+            if (!breaker_.admitAt(start)) {
+                outcomes[i] = reject(
+                    "breaker",
+                    "circuit breaker open: request shed before "
+                    "execution");
+                continue;
+            }
+            if (deadline && start > *deadline) {
+                outcomes[i] = reject(
+                    "deadline",
+                    "request deadline expired before execution started "
+                    "(never executed)");
+                continue;
+            }
+            members.push_back(&inputs[i]);
+            indices.push_back(base + i);
+            positions.push_back(i);
+        }
+        if (members.empty())
+            return;
+        Timer latency;
+        auto groupOutcomes = runGroupWithRetry(members, indices, deadline);
+        const double serviceSeconds = latency.elapsedSeconds();
+        recordBatch(members.size(), 0.0);
+        for (std::size_t j = 0; j < positions.size(); ++j) {
+            outcomes[positions[j]] = std::move(groupOutcomes[j]);
+            recordExecuted(outcomes[positions[j]], 0.0, serviceSeconds);
+        }
+    });
     const double seconds = wall.elapsedSeconds();
     {
         std::scoped_lock lock(statsMutex_);
@@ -539,21 +397,17 @@ InferenceEngine::submit(nn::Tensor input, RequestOptions req)
     // work that is overwhelmingly likely to fail — the future resolves
     // immediately with a structured rejection.
     if (!breaker_.admitAt(now)) {
-        auto out = rejectOutcome("breaker",
+        job.promise.set_value(reject("breaker",
                                  "circuit breaker open: request shed "
-                                 "at admission");
-        recordRejected(out);
-        job.promise.set_value(std::move(out));
+                                 "at admission"));
         return future;
     }
 
     if (options_.admission == AdmissionPolicy::shed) {
         if (job.deadline && now > *job.deadline) {
-            auto out = rejectOutcome(
+            job.promise.set_value(reject(
                 "deadline",
-                "request deadline already expired at admission");
-            recordRejected(out);
-            job.promise.set_value(std::move(out));
+                "request deadline already expired at admission"));
             return future;
         }
         // SLO-aware fast-fail: with an online service-time estimate,
@@ -567,14 +421,12 @@ InferenceEngine::submit(nn::Tensor input, RequestOptions req)
             const double predicted =
                 (depth / double(options_.workers)) * est + est;
             if (now + secondsToDuration(predicted) > *job.deadline) {
-                auto out = rejectOutcome(
+                job.promise.set_value(reject(
                     "shed",
                     "predicted completion exceeds deadline "
                     "(EWMA service estimate " +
                         std::to_string(est) + " s, queue depth " +
-                        std::to_string(std::size_t(depth)) + ")");
-                recordRejected(out);
-                job.promise.set_value(std::move(out));
+                        std::to_string(std::size_t(depth)) + ")"));
                 return future;
             }
         }
@@ -582,11 +434,9 @@ InferenceEngine::submit(nn::Tensor input, RequestOptions req)
             FXHENN_FATAL_IF(queue_.closed(),
                             "inference engine is shut down and no "
                             "longer accepts requests");
-            auto out = rejectOutcome(
+            job.promise.set_value(reject(
                 "shed", "admission queue full (capacity " +
-                            std::to_string(queue_.capacity()) + ")");
-            recordRejected(out);
-            job.promise.set_value(std::move(out));
+                            std::to_string(queue_.capacity()) + ")"));
             return future;
         }
         return future;
@@ -604,12 +454,10 @@ InferenceEngine::submit(nn::Tensor input, RequestOptions req)
         FXHENN_FATAL_IF(result == PushResult::closed,
                         "inference engine is shut down and no longer "
                         "accepts requests");
-        auto out = rejectOutcome(
+        job.promise.set_value(reject(
             "deadline",
             "request deadline expired while waiting for queue room "
-            "(never executed)");
-        recordRejected(out);
-        job.promise.set_value(std::move(out));
+            "(never executed)"));
         return future;
     }
     const bool accepted = queue_.push(std::move(job));
@@ -649,32 +497,7 @@ InferenceEngine::workerLoop()
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(ms));
         }
-        if (lanes_ > 1) {
-            workerRunWindow(std::move(job));
-            continue;
-        }
-        const auto picked = Clock::now();
-        const double queueWait =
-            std::chrono::duration<double>(picked - job.enqueued)
-                .count();
-        if (job.deadline && picked > *job.deadline) {
-            // Expired in queue: shed with a structured report, never
-            // executed — burning a worker on it would only push the
-            // requests behind it past their deadlines too.
-            auto out = rejectOutcome(
-                "deadline",
-                "request deadline expired after " +
-                    std::to_string(queueWait) +
-                    " s in queue (never executed)");
-            recordRejected(out);
-            job.promise.set_value(std::move(out));
-            continue;
-        }
-        Timer service;
-        hecnn::InferOutcome outcome =
-            runRequestWithRetry(job.input, job.index, job.deadline);
-        recordExecuted(outcome, queueWait, service.elapsedSeconds());
-        job.promise.set_value(std::move(outcome));
+        workerRunWindow(std::move(job));
     }
     markPoolWorker(false);
 }
@@ -707,7 +530,8 @@ InferenceEngine::workerRunWindow(Job head)
         std::chrono::duration<double>(Clock::now() - opened).count();
 
     // Shed expired members BEFORE batch formation: a dead request
-    // never occupies a lane.
+    // never occupies a lane, and burning a worker on it would only
+    // push the requests behind it past their deadlines too.
     const auto picked = Clock::now();
     std::vector<std::size_t> live;
     for (std::size_t i = 0; i < window.size(); ++i) {
@@ -717,13 +541,11 @@ InferenceEngine::workerRunWindow(Job head)
                 std::chrono::duration<double>(picked -
                                               member.enqueued)
                     .count();
-            auto out = rejectOutcome(
+            member.promise.set_value(reject(
                 "deadline",
                 "request deadline expired after " +
                     std::to_string(queueWait) +
-                    " s in queue (never executed)");
-            recordRejected(out);
-            member.promise.set_value(std::move(out));
+                    " s in queue (never executed)"));
             continue;
         }
         live.push_back(i);

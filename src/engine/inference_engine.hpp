@@ -41,8 +41,8 @@
  * member that fails input validation degrades alone with its lane
  * zeroed; a whole-group failure is reported honestly to every member
  * (never garbage logits). Demuxed results are pure slot extraction in
- * ClientSession::decryptLogitsBatch, so sibling outcomes stay
- * isolated.
+ * ClientSession::decryptLogits, so sibling outcomes stay isolated. An
+ * unbatched plan (B = 1) takes the same path with groups of one.
  *
  * Determinism: request r (in submission order) encrypts with a noise
  * stream derived from (keySeed, r), so a batch produces bitwise
@@ -101,8 +101,6 @@ struct EngineOptions
     double deadlineSeconds = 0.0;
     RetryOptions retry{};
     BreakerOptions breaker{};
-    /** EWMA weight of the online service-time estimate. */
-    double serviceEwmaAlpha = 0.2;
     /**
      * Streaming batch accumulation window in seconds (plans with
      * batchLanes > 1 only): after popping a request, a worker waits at
@@ -249,58 +247,47 @@ class InferenceEngine
     resolveDeadline(const RequestOptions &req, Clock::time_point now)
         const;
 
-    /** encrypt -> execute -> decrypt, with request-level isolation. */
-    hecnn::InferOutcome runRequest(
-        const nn::Tensor &input, std::uint64_t index,
-        const std::optional<Clock::time_point> &deadline);
-
-    /** runRequest() plus the transient-retry loop and breaker hooks. */
-    hecnn::InferOutcome runRequestWithRetry(
-        const nn::Tensor &input, std::uint64_t index,
-        const std::optional<Clock::time_point> &deadline);
-
-    /** Result of one batched (shared-ciphertext) group execution. */
-    struct GroupResult
-    {
-        /** Per-member outcomes, aligned with the member arguments. */
-        std::vector<hecnn::InferOutcome> outcomes;
-        /** Whole-group transient infrastructure failure (retryable). */
-        bool sharedTransient = false;
-        /** Whole-group failure of any kind (breaker-relevant). */
-        bool sharedFailure = false;
-    };
-
     /**
-     * One batched run over up to batchLanes members: pre-validate each
-     * input (a malformed member degrades alone, its lane zeroed),
-     * encrypt the survivors into shared ciphertexts under the
-     * batchRequestKey of their indices, execute once and demux.
+     * The one serving path: run up to batchLanes members as one
+     * encrypted run, with request-level isolation, and return their
+     * outcomes in member order. Pre-validate each input (a malformed
+     * member degrades alone, its lane zeroed), encrypt the survivors
+     * into shared ciphertexts under the batchRequestKey of their
+     * indices, execute once and demux; a failure of the shared run
+     * reaches every live member. An unbatched plan runs groups of one,
+     * whose key is the request's own index.
      */
-    GroupResult runGroup(
+    std::vector<hecnn::InferOutcome> runGroup(
         const std::vector<const nn::Tensor *> &inputs,
         const std::vector<std::uint64_t> &indices,
         const std::optional<Clock::time_point> &deadline);
 
-    /** runGroup() plus whole-group transient retry + breaker hooks. */
+    /**
+     * runGroup() plus whole-group transient retry and the breaker: a
+     * run counts as one breaker failure when none of its members got
+     * logits, and as one success otherwise.
+     */
     std::vector<hecnn::InferOutcome> runGroupWithRetry(
         const std::vector<const nn::Tensor *> &inputs,
         const std::vector<std::uint64_t> &indices,
         const std::optional<Clock::time_point> &deadline);
 
-    /** Batch telemetry + occupancy stats for one executed group. */
+    /** Batch telemetry + occupancy stats for one executed group of a
+     *  batched plan (no-op when batchLanes is 1). */
     void recordBatch(std::size_t liveMembers,
                      double windowWaitSeconds);
 
-    /** Structured never-executed outcome (shed / expired / breaker). */
-    static hecnn::InferOutcome rejectOutcome(const char *op,
-                                             const std::string &reason);
+    /** Structured never-executed outcome (shed / expired / breaker),
+     *  counted in the stats: op "deadline" as expired, else as shed. */
+    hecnn::InferOutcome reject(const char *op, const std::string &reason);
 
     void recordExecuted(const hecnn::InferOutcome &outcome,
                         double queueWaitSeconds, double serviceSeconds);
-    void recordRejected(const hecnn::InferOutcome &outcome);
     void startWorkers();
     void workerLoop();
-    /** Streaming batched path: @p head opens an accumulation window. */
+    /** Streaming path: @p head opens an accumulation window (batched
+     *  plans only), expired members are shed, the rest run as one
+     *  group. */
     void workerRunWindow(Job head);
 
     EngineOptions options_;

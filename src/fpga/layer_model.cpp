@@ -18,22 +18,7 @@ modulesUsed(const hecnn::HeLayerPlan &layer)
 std::uint64_t
 opCount(const hecnn::HeLayerPlan &layer, HeOpModule op)
 {
-    using hecnn::HeOpKind;
-    switch (op) {
-      case HeOpModule::ccAdd:
-        return layer.kindCount(HeOpKind::ccAdd) +
-               layer.kindCount(HeOpKind::pcAdd);
-      case HeOpModule::pcMult:
-        return layer.kindCount(HeOpKind::pcMult);
-      case HeOpModule::ccMult:
-        return layer.kindCount(HeOpKind::ccMult);
-      case HeOpModule::rescale:
-        return layer.kindCount(HeOpKind::rescale);
-      case HeOpModule::keySwitch:
-        return layer.kindCount(HeOpKind::relinearize) +
-               layer.kindCount(HeOpKind::rotate);
-    }
-    return 0;
+    return layer.moduleCount(static_cast<std::size_t>(op) + 1);
 }
 
 double

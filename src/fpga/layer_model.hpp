@@ -75,7 +75,7 @@ struct NetworkPerf
  *                  (Table III: 0 models an all-DRAM layer)
  * @param peakLiveRegs peak number of simultaneously live ciphertext
  *                  registers inside this layer (from
- *                  analysis::computeLiveness); 0 means unknown. When
+ *                  hecnn::computeLiveness); 0 means unknown. When
  *                  known, the Eq. 8-9 intra-layer ciphertext-buffer
  *                  replication is capped by it — a layer that never
  *                  holds more than k live ciphertexts cannot need

@@ -230,24 +230,10 @@ opModMuls(HeOpModule op, const RingView &ring)
 HeOpModule
 moduleOf(hecnn::HeOpKind kind)
 {
-    switch (kind) {
-      case hecnn::HeOpKind::ccAdd:
-      case hecnn::HeOpKind::pcAdd:
-        return HeOpModule::ccAdd;
-      case hecnn::HeOpKind::pcMult:
-        return HeOpModule::pcMult;
-      case hecnn::HeOpKind::ccMult:
-        return HeOpModule::ccMult;
-      case hecnn::HeOpKind::rescale:
-        return HeOpModule::rescale;
-      case hecnn::HeOpKind::relinearize:
-      case hecnn::HeOpKind::rotate:
-        return HeOpModule::keySwitch;
-      case hecnn::HeOpKind::copy:
-        break;
-    }
-    FXHENN_PANIC_IF(true, "copy has no hardware module");
-    return HeOpModule::ccAdd;
+    const std::uint8_t module = hecnn::opInfo(kind).module;
+    FXHENN_PANIC_IF(module == 0, std::string(hecnn::opName(kind)) +
+                                     " has no hardware module");
+    return static_cast<HeOpModule>(module - 1);
 }
 
 } // namespace fxhenn::fpga

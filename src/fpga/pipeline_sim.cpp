@@ -58,8 +58,8 @@ layerStages(const hecnn::HeLayerPlan &layer, std::uint64_t n,
     std::vector<HeOpModule> order;
     std::array<std::uint64_t, kOpModuleCount> counts{};
     for (const auto &instr : layer.instrs) {
-        if (instr.kind == hecnn::HeOpKind::copy)
-            continue;
+        if (hecnn::opInfo(instr.kind).module == 0)
+            continue; // bookkeeping (copy): no hardware module
         const HeOpModule op = moduleOf(instr.kind);
         if (counts[static_cast<std::size_t>(op)] == 0)
             order.push_back(op);

@@ -64,8 +64,8 @@ ClientSession::batchRequestKey(
 {
     FXHENN_FATAL_IF(memberIndices.empty(),
                     "batchRequestKey: empty member list");
-    // A one-member fold is the member index itself, so a B=1 batch
-    // draws exactly the noise stream encryptInput(input, r) draws.
+    // A one-member fold is the member index itself: a request served
+    // alone draws the stream of its own index.
     std::uint64_t key = memberIndices[0];
     for (std::size_t i = 1; i < memberIndices.size(); ++i)
         key = mixRequestSeed(key, memberIndices[i]);
@@ -73,42 +73,15 @@ ClientSession::batchRequestKey(
 }
 
 std::vector<ckks::Ciphertext>
-ClientSession::encryptInput(const nn::Tensor &input,
-                            std::uint64_t requestIndex) const
+ClientSession::encryptInput(const std::vector<const nn::Tensor *> &lanes,
+                            std::uint64_t requestKey) const
 {
-    validateInput(input);
-    FXHENN_TELEM_SCOPED_TIMER("hecnn.client.encrypt.ns");
-    Rng rng(mixRequestSeed(seed_, requestIndex));
-    const std::size_t slots = context_.slots();
-    std::vector<ckks::Ciphertext> cts;
-    cts.reserve(plan_.inputGather.size());
-    for (const auto &gather : plan_.inputGather) {
-        std::vector<double> v(slots, 0.0);
-        for (std::size_t s = 0; s < slots; ++s) {
-            if (gather[s] >= 0)
-                v[s] = input.data()[static_cast<std::size_t>(gather[s])];
-        }
-        const auto plain =
-            encoder_.encode(std::span<const double>(v),
-                            context_.params().scale,
-                            context_.maxLevel());
-        cts.push_back(encryptor_.encrypt(plain, rng));
-    }
-    return cts;
-}
-
-std::vector<ckks::Ciphertext>
-ClientSession::encryptInputBatch(
-    std::span<const nn::Tensor *const> inputs,
-    std::uint64_t requestKey) const
-{
-    const std::size_t lanes = plan_.batchLanes;
-    FXHENN_FATAL_IF(inputs.size() != lanes,
-                    "encryptInputBatch: " +
-                        std::to_string(inputs.size()) +
+    const std::size_t width = plan_.batchLanes;
+    FXHENN_FATAL_IF(lanes.empty() || lanes.size() > width,
+                    "encryptInput: " + std::to_string(lanes.size()) +
                         " member inputs for a plan with " +
-                        std::to_string(lanes) + " batch lanes");
-    for (const nn::Tensor *member : inputs) {
+                        std::to_string(width) + " batch lanes");
+    for (const nn::Tensor *member : lanes) {
         if (member != nullptr)
             validateInput(*member);
     }
@@ -121,13 +94,13 @@ ClientSession::encryptInputBatch(
         std::vector<double> v(slots, 0.0);
         // The stride-B gather populates lane 0 only; the client fills
         // member b's data into the sibling slot s*B + b.
-        for (std::size_t s = 0; s + lanes <= slots; s += lanes) {
+        for (std::size_t s = 0; s + width <= slots; s += width) {
             const std::int32_t e = gather[s];
             if (e < 0)
                 continue;
-            for (std::size_t b = 0; b < lanes; ++b) {
-                if (inputs[b] != nullptr) {
-                    v[s + b] = inputs[b]->data()[
+            for (std::size_t b = 0; b < lanes.size(); ++b) {
+                if (lanes[b] != nullptr) {
+                    v[s + b] = lanes[b]->data()[
                         static_cast<std::size_t>(e)];
                 }
             }
@@ -142,7 +115,7 @@ ClientSession::encryptInputBatch(
 }
 
 std::vector<std::vector<double>>
-ClientSession::decryptLogitsBatch(
+ClientSession::decryptLogits(
     std::span<const std::optional<ckks::Ciphertext>> regs) const
 {
     FXHENN_TELEM_SCOPED_TIMER("hecnn.client.decrypt.ns");
@@ -165,29 +138,6 @@ ClientSession::decryptLogitsBatch(
         for (std::size_t b = 0; b < lanes; ++b)
             logits[b][e] =
                 it->second[static_cast<std::size_t>(slot) + b];
-    }
-    return logits;
-}
-
-std::vector<double>
-ClientSession::decryptLogits(
-    std::span<const std::optional<ckks::Ciphertext>> regs) const
-{
-    FXHENN_TELEM_SCOPED_TIMER("hecnn.client.decrypt.ns");
-    std::map<std::int32_t, std::vector<double>> decoded;
-    std::vector<double> logits(plan_.outputLayout.elements(), 0.0);
-    for (std::size_t e = 0; e < logits.size(); ++e) {
-        const auto [reg_id, slot] = plan_.outputLayout.pos[e];
-        auto it = decoded.find(reg_id);
-        if (it == decoded.end()) {
-            const auto &ct = regs[static_cast<std::size_t>(reg_id)];
-            FXHENN_ASSERT(ct.has_value(), "output register unwritten");
-            it = decoded
-                     .emplace(reg_id, encoder_.decodeReal(
-                                          decryptor_.decrypt(*ct)))
-                     .first;
-        }
-        logits[e] = it->second[static_cast<std::size_t>(slot)];
     }
     return logits;
 }

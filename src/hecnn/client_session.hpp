@@ -11,7 +11,7 @@
  * key never leaves the session.
  *
  * Thread-safety: immutable after construction. encryptInput() derives
- * an independent noise stream per requestIndex, so concurrent requests
+ * an independent noise stream per request key, so concurrent requests
  * encrypt deterministically — request r of a batch produces bitwise
  * the same ciphertexts whether it runs serially or on a worker pool.
  */
@@ -61,35 +61,36 @@ class ClientSession
     /**
      * Check @p input against the plan's gather spec without encrypting
      * anything; throws the same ConfigError encryptInput would. The
-     * engine pre-validates batch members with this so one malformed
-     * request degrades alone instead of poisoning its batch.
+     * engine pre-validates the members of a run with this so one
+     * malformed request degrades alone instead of poisoning its batch.
      */
     void validateInput(const nn::Tensor &input) const;
 
     /**
-     * Deterministic encryption-stream key for a batch composed of
+     * Deterministic encryption-stream key for a run composed of
      * @p memberIndices (per-request indices, in lane order): a
      * splitmix64 fold, so any distinct member composition draws an
      * independent noise stream and the same composition reproduces
-     * bitwise. A single-member fold of {r} equals the stream
-     * encryptInput(input, r) uses, keeping B = 1 batches bit-identical
-     * to the unbatched path.
+     * bitwise. A single-member fold of {r} is r itself, so a request
+     * served alone draws the stream of request index r.
      */
     static std::uint64_t batchRequestKey(
         std::span<const std::uint64_t> memberIndices);
 
     /**
-     * Pack B = batchLanes() member inputs lane-wise per the plan's
-     * stride-B gather spec and encrypt the shared ciphertexts: member
-     * b's element e lands at physical slot s*B + b where the gather
-     * places e at lane-0 slot s*B. A null member pointer leaves its
-     * lane zeroed (partial batch). @p requestKey selects the noise
-     * stream — pass batchRequestKey() over the member indices.
-     * Throws ConfigError when inputs.size() != batchLanes() or any
-     * non-null member fails validateInput().
+     * Pack up to batchLanes() member inputs lane-wise per the plan's
+     * gather spec, encode and encrypt them into the plan's input
+     * registers: member b's element e lands at physical slot s*B + b
+     * where the gather places e at lane-0 slot s*B (B = 1: slot s). A
+     * null member, or a lane past lanes.size(), stays zero (partial
+     * batch). @p requestKey selects the deterministic noise stream:
+     * the request index when one request runs alone, batchRequestKey()
+     * over the member indices otherwise. Throws ConfigError when
+     * lanes is empty or longer than batchLanes(), or any non-null
+     * member fails validateInput().
      */
-    std::vector<ckks::Ciphertext> encryptInputBatch(
-        std::span<const nn::Tensor *const> inputs,
+    std::vector<ckks::Ciphertext> encryptInput(
+        const std::vector<const nn::Tensor *> &lanes,
         std::uint64_t requestKey) const;
 
     /**
@@ -99,25 +100,7 @@ class ClientSession
      * — no arithmetic — so each member's logits are a deterministic
      * function of the shared ciphertexts.
      */
-    std::vector<std::vector<double>> decryptLogitsBatch(
-        std::span<const std::optional<ckks::Ciphertext>> regs) const;
-
-    /**
-     * Pack @p input per the plan's gather spec, encode and encrypt it
-     * into the plan's input registers. @p requestIndex selects the
-     * deterministic per-request noise stream; distinct indices give
-     * statistically independent encryption randomness. Throws
-     * ConfigError when the tensor's element count does not match the
-     * plan's input.
-     */
-    std::vector<ckks::Ciphertext> encryptInput(
-        const nn::Tensor &input, std::uint64_t requestIndex = 0) const;
-
-    /**
-     * Decrypt the output registers (each at most once) and extract the
-     * logits per the plan's output layout.
-     */
-    std::vector<double> decryptLogits(
+    std::vector<std::vector<double>> decryptLogits(
         std::span<const std::optional<ckks::Ciphertext>> regs) const;
 
     /**

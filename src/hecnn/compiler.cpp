@@ -6,7 +6,6 @@
 #include "src/common/math_util.hpp"
 #include "src/hecnn/noise_cert.hpp"
 #include "src/hecnn/plan_check.hpp"
-#include "src/hecnn/rescale_rewriter.hpp"
 
 namespace fxhenn::hecnn {
 
@@ -726,8 +725,6 @@ compile(const nn::Network &net, const ckks::CkksParams &params,
     PlanBuilder builder(net, params, options);
     HeNetworkPlan plan = builder.build();
     applyBatchStride(plan, lanes);
-    if (options.rescaleWaterline)
-        rewriteRescales(plan); // certified: no-op unless provably safe
     if (options.selfCheck)
         runPlanVerifier(plan, "compile");
     if (options.certifyNoise) {

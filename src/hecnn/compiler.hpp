@@ -67,16 +67,6 @@ struct CompileOptions
 #endif
 
     /**
-     * Re-place rescales with the certified waterline rewriter
-     * (rescale_rewriter.hpp): sink each eager per-tap rescale to its
-     * first use and merge deferred rescales at accumulation adds. The
-     * rewrite is applied only when the static noise certifier proves
-     * the rewritten plan's minimum headroom is no worse and the
-     * rescale count strictly drops; otherwise the plan is unchanged.
-     */
-    bool rescaleWaterline = false;
-
-    /**
      * Run the static noise-budget certifier (noise_cert.hpp) over the
      * lowered plan and refuse (ConfigError) any plan whose certified
      * minimum headroom is negative — i.e. a plan that can overflow the

@@ -1,13 +1,14 @@
 /**
  * @file
- * Plan-aware runtime guard: statically simulates the (level, scale,
- * parts) state of every register as the Runtime executes a plan, using
- * the exact double arithmetic the evaluator applies. On a healthy run
- * the prediction matches the ciphertext tags bit-for-bit; a dropped
- * rescale, perturbed scale or corrupted plan shows up as divergence at
- * the next layer boundary. The guard also tracks the predicted
- * noise-budget headroom per layer and flags exhaustion before the
- * message overflows the modulus.
+ * Plan-aware runtime guard. What the guard expects of a run depends
+ * only on the plan, so a GuardPrediction computes it once per
+ * PlanExecutor with the plan walk (plan_walk.hpp): the instructions it
+ * rejects, each layer's expected register shapes, and the predicted
+ * noise-budget trajectory. A request then only compares the layer-end
+ * shapes against its actual ciphertexts. The shapes replay the
+ * evaluator's own double arithmetic, so on a healthy run they match the
+ * ciphertext tags bit for bit; a dropped rescale, perturbed scale or
+ * corrupted state shows up as divergence at the next layer boundary.
  */
 #ifndef FXHENN_HECNN_GUARD_HPP
 #define FXHENN_HECNN_GUARD_HPP
@@ -21,75 +22,68 @@
 #include "src/ckks/context.hpp"
 #include "src/hecnn/noise_cert.hpp"
 #include "src/hecnn/plan.hpp"
+#include "src/hecnn/plan_walk.hpp"
 #include "src/robustness/guard.hpp"
 
 namespace fxhenn::hecnn {
 
-/** Per-inference invariant tracker owned by hecnn::Runtime. */
-class RuntimeGuard
+/** The guard's view of one plan, shared read-only by every request. */
+class GuardPrediction
 {
   public:
-    /**
-     * Construction certifies the plan once with the static noise
-     * certifier (at GuardOptions::messageBits); checkLayerEnd then
-     * consumes the per-layer certified bounds instead of re-deriving
-     * an ad-hoc worst-case headroom. An invalid certificate (e.g. a
-     * malformed plan that still executes) degrades gracefully to the
-     * noise-free headroom formula.
-     */
-    RuntimeGuard(const HeNetworkPlan &plan,
-                 const ckks::CkksContext &context,
-                 robustness::GuardOptions options);
-
-    const robustness::GuardOptions &options() const { return options_; }
-
-    /** The static certificate computed at construction. */
-    const NoiseCertificate &certificate() const { return cert_; }
-
-    /** Reset predicted state to "inputs freshly encrypted". */
-    void beginInfer();
+    /** One instruction the guard rejects before it runs. */
+    struct Rejection
+    {
+        std::size_t instr = 0; ///< index within its layer
+        std::string reason;
+    };
 
     /**
-     * Validate @p instr against the predicted register state before it
-     * executes: operands written, levels/scales compatible, part
-     * counts as the op expects. @return the violation, or nullopt.
+     * Walk @p plan over @p context's prime chain and certify it once
+     * (at @p options.messageBits). Rejected are lint's scale-level
+     * errors plus operands that are out of range, unwritten, or point
+     * outside the plaintext pool. An invalid certificate (a malformed
+     * plan that still executes) falls back to the noise-free headroom
+     * formula. Never throws on a malformed plan.
      */
-    std::optional<std::string> preCheck(const HeInstr &instr) const;
+    GuardPrediction(const HeNetworkPlan &plan,
+                    const ckks::CkksContext &context,
+                    const robustness::GuardOptions &options);
 
-    /** Advance the predicted state across @p instr. */
-    void apply(const HeInstr &instr);
+    /** Rejected instructions of layer @p layer, by ascending index. */
+    const std::vector<Rejection> &rejections(std::size_t layer) const
+    {
+        return rejected_[layer];
+    }
 
-    /**
-     * Layer-boundary check: compare every predicted register against
-     * the actual ciphertexts, validate the plan's levelOut metadata,
-     * append this layer's BudgetSample, and flag predicted headroom
-     * exhaustion. @return the first violation found, or nullopt.
-     */
-    std::optional<std::string> checkLayerEnd(
-        const HeLayerPlan &layer,
-        std::span<const std::optional<ckks::Ciphertext>> regs);
+    /** Every register's expected shape at the end of @p layer. */
+    const std::vector<RegShape> &shapes(std::size_t layer) const
+    {
+        return shapes_[layer];
+    }
 
-    /** Predicted headroom trajectory of the current inference. */
+    /** Predicted budget trajectory, one sample per layer. */
     const std::vector<robustness::BudgetSample> &trajectory() const
     {
         return trajectory_;
     }
 
-  private:
-    struct RegState
-    {
-        bool written = false;
-        std::size_t level = 0;
-        double scale = 0.0;
-        std::size_t parts = 2;
-    };
+    /**
+     * Layer-end check: compare every predicted register against the
+     * actual ciphertexts, then report the layer's plan-metadata
+     * mismatch or predicted headroom exhaustion, if any. @return the
+     * first violation, or nullopt.
+     */
+    std::optional<std::string> checkLayerEnd(
+        std::size_t layer,
+        std::span<const std::optional<ckks::Ciphertext>> regs) const;
 
-    const HeNetworkPlan &plan_;
-    const ckks::CkksContext &context_;
-    robustness::GuardOptions options_;
-    NoiseCertificate cert_;
-    std::vector<RegState> regs_;
+  private:
+    std::vector<std::vector<Rejection>> rejected_;
+    std::vector<std::vector<RegShape>> shapes_;
     std::vector<robustness::BudgetSample> trajectory_;
+    /** Per layer: metadata mismatch, else budget exhaustion. */
+    std::vector<std::optional<std::string>> layerFinding_;
 };
 
 } // namespace fxhenn::hecnn

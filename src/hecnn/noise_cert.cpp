@@ -4,34 +4,17 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <optional>
 #include <sstream>
 
 #include "src/ckks/noise.hpp"
 #include "src/common/assert.hpp"
+#include "src/common/table_printer.hpp"
+#include "src/hecnn/plan_walk.hpp"
 #include "src/modarith/primes.hpp"
 
 namespace fxhenn::hecnn {
 
 namespace {
-
-/** Abstract state of one ciphertext register. */
-struct AbsReg
-{
-    bool written = false;
-    std::size_t level = 0;  ///< effective level (after levelShift)
-    double scale = 0.0;     ///< exact replay of the evaluator's double
-    double noiseBits = 0.0; ///< log2 worst-case coefficient noise
-};
-
-std::string
-fmtBits(double v)
-{
-    std::ostringstream oss;
-    oss.precision(3);
-    oss << v;
-    return oss.str();
-}
 
 void
 jsonEscapeInto(std::ostringstream &oss, const std::string &s)
@@ -73,116 +56,101 @@ ptSlotBits(const PlanPlaintext &pt, double ciphertextScale,
     return std::log2(enc_scale * max_abs);
 }
 
-struct Certifier
+/**
+ * The certifier's share of the plan walk: the log2 worst-case noise of
+ * every register beside the shared shape, and one bound per layer end.
+ * Stops contributing at the first instruction that cannot run.
+ */
+struct NoiseWalk
 {
     const HeNetworkPlan &plan;
     const CertifyOptions &opts;
-    const ckks::NoiseModel model;
-    std::vector<AbsReg> regs;
+    const ckks::NoiseModel &model;
+    NoiseCertificate &cert;
+    std::vector<double> noiseBits; ///< per register
+    bool failed = false;
 
-    /** Interpret one instruction; returns an error string on abstract
-     *  failure (out-of-range register, read-before-write, rescale at
-     *  the chain floor). */
-    std::optional<std::string>
-    step(const HeInstr &instr)
+    NoiseWalk(const HeNetworkPlan &p, const CertifyOptions &o,
+              const ckks::NoiseModel &m, NoiseCertificate &c)
+        : plan(p), opts(o), model(m), cert(c),
+          // A register is read only after an input seeded it or an
+          // instruction wrote it, so fresh noise is a safe default.
+          noiseBits(static_cast<std::size_t>(
+                        std::max(p.regCount, std::int32_t{0})),
+                    ckks::NoiseModel::logAdd(model.freshNoiseBits(),
+                                             model.encodingRoundBits()))
     {
-        const auto regCount = static_cast<std::int32_t>(regs.size());
-        if (instr.dst < 0 || instr.dst >= regCount || instr.src < 0 ||
-            instr.src >= regCount)
-            return "instruction register out of range (dst r" +
-                   std::to_string(instr.dst) + ", src r" +
-                   std::to_string(instr.src) + ")";
-        const AbsReg src = regs[static_cast<std::size_t>(instr.src)];
-        AbsReg &dst = regs[static_cast<std::size_t>(instr.dst)];
-        if (!src.written)
-            return "read of unwritten register r" +
-                   std::to_string(instr.src);
-
-        const double scheme_scale = model.params().scale;
-        switch (instr.kind) {
-          case HeOpKind::pcMult: {
-            if (instr.pt < 0 ||
-                instr.pt >= static_cast<std::int32_t>(
-                                plan.plaintexts.size()))
-                return "plaintext index out of range (pt " +
-                       std::to_string(instr.pt) + ")";
-            const auto &pt =
-                plan.plaintexts[static_cast<std::size_t>(instr.pt)];
-            const double msg_bits =
-                (src.scale > 0.0 ? std::log2(src.scale) : 0.0) +
-                opts.messageBits;
-            dst = src;
-            dst.scale = src.scale * scheme_scale;
-            dst.noiseBits = model.pcMultNoiseBits(
-                src.noiseBits,
-                ptSlotBits(pt, src.scale, scheme_scale), msg_bits);
-            break;
-          }
-          case HeOpKind::pcAdd:
-            dst = src;
-            dst.noiseBits = model.pcAddNoiseBits(src.noiseBits);
-            break;
-          case HeOpKind::ccAdd: {
-            if (!dst.written)
-                return "read of unwritten register r" +
-                       std::to_string(instr.dst);
-            dst.noiseBits =
-                model.ccAddNoiseBits(dst.noiseBits, src.noiseBits);
-            break;
-          }
-          case HeOpKind::ccMult: {
-            // msg slot bound: scale * max|m| per the certified
-            // message assumption.
-            const double msg_bits =
-                (src.scale > 0.0 ? std::log2(src.scale) : 0.0) +
-                opts.messageBits;
-            dst = src;
-            dst.scale = src.scale * src.scale;
-            dst.noiseBits =
-                model.ccMultNoiseBits(src.noiseBits, msg_bits);
-            break;
-          }
-          case HeOpKind::relinearize:
-          case HeOpKind::rotate:
-            dst = src;
-            dst.noiseBits =
-                model.keySwitchedNoiseBits(src.noiseBits, src.level);
-            break;
-          case HeOpKind::rescale:
-            if (src.level < 2)
-                return "rescale at effective level " +
-                       std::to_string(src.level) +
-                       ": no prime left to rescale into";
-            dst = src;
-            dst.scale =
-                src.scale / std::exp2(model.logPrime(src.level - 1));
-            dst.noiseBits =
-                model.rescaleNoiseBits(src.noiseBits, src.level);
-            dst.level = src.level - 1;
-            break;
-          case HeOpKind::copy:
-            dst = src;
-            break;
-        }
-        dst.written = true;
-        return std::nullopt;
     }
 
-    /** Bound at a layer boundary, mirroring RuntimeGuard's sample. */
-    LayerNoiseBound
-    layerBound(const HeLayerPlan &layer) const
+    void
+    fail(std::size_t li, const std::string &why)
     {
-        const std::vector<std::int32_t> *out_regs =
-            &layer.outputLayout.regs;
-        std::vector<std::int32_t> fallback;
-        if (out_regs->empty()) {
-            for (std::size_t i = 0; i < regs.size(); ++i) {
-                if (regs[i].written)
-                    fallback.push_back(static_cast<std::int32_t>(i));
-            }
-            out_regs = &fallback;
-        }
+        failed = true;
+        cert.invalidReason = "layer " + plan.layers[li].name + ": " + why;
+    }
 
+    void
+    op(std::size_t li, std::size_t, const HeInstr &in,
+       const RegShape *src, const RegShape *dst)
+    {
+        if (failed)
+            return;
+        if (auto fault =
+                operandFault(in, src, dst, plan.plaintexts.size())) {
+            fail(li, *fault);
+            return;
+        }
+        // msg slot bound: scale * max|m| per the certified message
+        // assumption.
+        const auto msg_bits = [&] {
+            return (src->scale > 0.0 ? std::log2(src->scale) : 0.0) +
+                   opts.messageBits;
+        };
+        const double in_bits = noiseBits[static_cast<std::size_t>(in.src)];
+        double &out_bits = noiseBits[static_cast<std::size_t>(in.dst)];
+        switch (in.kind) {
+          case HeOpKind::pcMult:
+            out_bits = model.pcMultNoiseBits(
+                in_bits,
+                ptSlotBits(plan.plaintexts[static_cast<std::size_t>(in.pt)],
+                           src->scale, plan.params.scale),
+                msg_bits());
+            break;
+          case HeOpKind::pcAdd:
+            out_bits = model.pcAddNoiseBits(in_bits);
+            break;
+          case HeOpKind::ccAdd:
+            out_bits = model.ccAddNoiseBits(out_bits, in_bits);
+            break;
+          case HeOpKind::ccMult:
+            out_bits = model.ccMultNoiseBits(in_bits, msg_bits());
+            break;
+          case HeOpKind::relinearize:
+          case HeOpKind::rotate:
+            out_bits = model.keySwitchedNoiseBits(in_bits, src->level);
+            break;
+          case HeOpKind::rescale:
+            if (src->level < 2) {
+                fail(li, "rescale at effective level " +
+                             std::to_string(src->level) +
+                             ": no prime left to rescale into");
+                return;
+            }
+            out_bits = model.rescaleNoiseBits(in_bits, src->level);
+            break;
+          case HeOpKind::copy:
+            out_bits = in_bits;
+            break;
+        }
+    }
+
+    /** Bound at a layer boundary, mirroring the guard's sample. */
+    void
+    layerEnd(std::size_t li, std::span<const RegShape> regs)
+    {
+        if (failed)
+            return;
+        const HeLayerPlan &layer = plan.layers[li];
         LayerNoiseBound bound;
         bound.layer = layer.name;
         bound.level = layer.levelOut >= opts.levelShift
@@ -190,25 +158,28 @@ struct Certifier
                           : 0;
         bound.headroomBits = std::numeric_limits<double>::infinity();
         bool any = false;
-        for (const std::int32_t r : *out_regs) {
+        for (const std::int32_t r : layerOutputs(layer, regs)) {
             if (r < 0 || r >= static_cast<std::int32_t>(regs.size()))
                 continue;
-            const AbsReg &s = regs[static_cast<std::size_t>(r)];
+            const RegShape &s = regs[static_cast<std::size_t>(r)];
             if (!s.written)
                 continue;
             any = true;
+            const double noise = noiseBits[static_cast<std::size_t>(r)];
             const double scale_bits =
                 s.scale > 0.0 ? std::log2(s.scale) : 0.0;
             const double headroom = model.headroomBits(
-                scale_bits + opts.messageBits, s.noiseBits, s.level);
+                scale_bits + opts.messageBits, noise, s.level);
             bound.scaleBits = std::max(bound.scaleBits, scale_bits);
-            bound.noiseBits = std::max(bound.noiseBits, s.noiseBits);
+            bound.noiseBits = std::max(bound.noiseBits, noise);
             bound.headroomBits =
                 std::min(bound.headroomBits, headroom);
         }
         if (!any)
             bound.headroomBits = 0.0;
-        return bound;
+        cert.minHeadroomBits =
+            std::min(cert.minHeadroomBits, bound.headroomBits);
+        cert.layers.push_back(bound);
     }
 };
 
@@ -241,39 +212,15 @@ certifyPlan(const HeNetworkPlan &plan, const CertifyOptions &opts)
             primes);
         cert.levels = eff_levels;
 
-        Certifier certifier{plan, opts, model, {}};
-        certifier.regs.assign(
-            static_cast<std::size_t>(std::max(plan.regCount,
-                                              std::int32_t{0})),
-            AbsReg{});
-        const double fresh = ckks::NoiseModel::logAdd(
-            model.freshNoiseBits(), model.encodingRoundBits());
-        for (std::size_t i = 0; i < plan.inputGather.size(); ++i) {
-            if (i >= certifier.regs.size())
-                break;
-            AbsReg &s = certifier.regs[i];
-            s.written = true;
-            s.level = eff_levels;
-            s.scale = plan.params.scale;
-            s.noiseBits = fresh;
-        }
-
+        // The walk seeds the inputs at the top of the shortened chain,
+        // so plan level l runs at effective level l - levelShift.
         cert.minHeadroomBits =
             std::numeric_limits<double>::infinity();
-        for (const HeLayerPlan &layer : plan.layers) {
-            for (const HeInstr &instr : layer.instrs) {
-                if (auto err = certifier.step(instr)) {
-                    cert.invalidReason =
-                        "layer " + layer.name + ": " + *err;
-                    cert.minHeadroomBits = 0.0;
-                    return cert;
-                }
-            }
-            const LayerNoiseBound bound =
-                certifier.layerBound(layer);
-            cert.minHeadroomBits =
-                std::min(cert.minHeadroomBits, bound.headroomBits);
-            cert.layers.push_back(bound);
+        NoiseWalk walk(plan, opts, model, cert);
+        walkPlan(plan, ShapeChain(plan.params.scale, primes), walk);
+        if (walk.failed) {
+            cert.minHeadroomBits = 0.0;
+            return cert;
         }
         if (cert.layers.empty())
             cert.minHeadroomBits = 0.0;

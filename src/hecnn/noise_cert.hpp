@@ -12,9 +12,12 @@
  * hecnn::compile's self-check rejects them before they are saved.
  *
  * The certificate is also the contract the runtime checks against:
- * RuntimeGuard replays the certified trajectory, and the differential
- * tests assert measured headroom >= certified headroom at every layer
- * of every zoo model. This file lives in src/hecnn (not src/analysis)
+ * the executor's guard prediction (guard.hpp) replays the certified
+ * trajectory, and the differential tests assert measured headroom >=
+ * certified headroom at every layer of every zoo model. The certifier
+ * is a consumer of the plan walk (plan_walk.hpp): its state is the
+ * shared register shape plus noise bits. This file lives in src/hecnn
+ * (not src/analysis)
  * because fxhenn_analysis links fxhenn_hecnn, never the reverse; the
  * analysis NoiseBudgetPass is a thin wrapper over certifyPlan().
  */

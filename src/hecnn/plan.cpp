@@ -7,47 +7,9 @@ namespace fxhenn::hecnn {
 const char *
 opModuleLabel(HeOpKind kind)
 {
-    switch (kind) {
-      case HeOpKind::ccAdd:
-      case HeOpKind::pcAdd:
-        return "OP1";
-      case HeOpKind::pcMult:
-        return "OP2";
-      case HeOpKind::ccMult:
-        return "OP3";
-      case HeOpKind::rescale:
-        return "OP4";
-      case HeOpKind::relinearize:
-      case HeOpKind::rotate:
-        return "OP5";
-      case HeOpKind::copy:
-        return "-";
-    }
-    return "?";
-}
-
-const char *
-opName(HeOpKind kind)
-{
-    switch (kind) {
-      case HeOpKind::pcMult:
-        return "PCmult";
-      case HeOpKind::pcAdd:
-        return "PCadd";
-      case HeOpKind::ccAdd:
-        return "CCadd";
-      case HeOpKind::ccMult:
-        return "CCmult";
-      case HeOpKind::relinearize:
-        return "Relinearize";
-      case HeOpKind::rescale:
-        return "Rescale";
-      case HeOpKind::rotate:
-        return "Rotate";
-      case HeOpKind::copy:
-        return "Copy";
-    }
-    return "?";
+    static constexpr const char *kLabels[] = {"-",   "OP1", "OP2",
+                                              "OP3", "OP4", "OP5"};
+    return kLabels[opInfo(kind).module];
 }
 
 bool
@@ -81,14 +43,25 @@ HeLayerPlan::kindCount(HeOpKind kind) const
     return n;
 }
 
+std::uint64_t
+HeLayerPlan::moduleCount(std::size_t module) const
+{
+    std::uint64_t n = 0;
+    for (const HeOpInfo &info : kHeOps) {
+        if (info.module == module)
+            n += kindCount(info.kind);
+    }
+    return n;
+}
+
 HeOpCounts
 HeLayerPlan::counts() const
 {
     HeOpCounts c;
-    c.ccAdd = kindCount(HeOpKind::ccAdd) + kindCount(HeOpKind::pcAdd);
-    c.pcMult = kindCount(HeOpKind::pcMult);
-    c.ccMult = kindCount(HeOpKind::ccMult);
-    c.rescale = kindCount(HeOpKind::rescale);
+    c.ccAdd = moduleCount(1);
+    c.pcMult = moduleCount(2);
+    c.ccMult = moduleCount(3);
+    c.rescale = moduleCount(4);
     c.relin = kindCount(HeOpKind::relinearize);
     c.rotate = kindCount(HeOpKind::rotate);
     return c;

@@ -97,6 +97,9 @@ struct HeLayerPlan
     /** Count instructions by paper operation class. */
     HeOpCounts counts() const;
 
+    /** Instructions of paper module @p module (1..5 = OP1..OP5). */
+    std::uint64_t moduleCount(std::size_t module) const;
+
     /**
      * Instructions of one opcode. O(1) once classify() (called by the
      * compiler and the plan loader) has populated the cache; a plan
@@ -115,7 +118,7 @@ struct HeLayerPlan
     /** Opcode-count cache, populated only by classify() so that
      *  kindCount() stays const in the strict sense — executors share
      *  plans read-only across threads. */
-    std::array<std::uint64_t, 8> kindCounts_{};
+    std::array<std::uint64_t, kHeOpKindCount> kindCounts_{};
     bool counted_ = false;
 };
 

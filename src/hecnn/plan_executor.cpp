@@ -33,7 +33,8 @@ PlanExecutor::PlanExecutor(const HeNetworkPlan &plan,
     : plan_(plan), context_(context), relin_(relin), galois_(galois),
       pool_(pool), encoder_(context), guardOptions_(guard),
       execOptions_(exec),
-      backend_(createBackend(resolveBackendName(exec.backend)))
+      backend_(createBackend(resolveBackendName(exec.backend))),
+      prediction_(plan, context, guard)
 {
     FXHENN_FATAL_IF(plan.valuesElided,
                     "plan was compiled with elideValues=true and "
@@ -60,20 +61,44 @@ PlanExecutor::guardViolation(Run &run, const std::string &layer,
         std::cerr << line;
         break;
       }
-      case robustness::GuardPolicy::degrade: {
-        robustness::FailureReport report;
-        report.layer = layer;
-        report.op = op;
-        report.reason = reason;
-        report.trajectory = run.guard.trajectory();
-        throw DegradeSignal{std::move(report)};
-      }
+      case robustness::GuardPolicy::degrade:
+        throw DegradeSignal{failure(run, layer, op, reason)};
     }
 }
 
-void
-PlanExecutor::executeLayer(Run &run, const HeLayerPlan &layer) const
+std::vector<robustness::BudgetSample>
+PlanExecutor::trajectory(const Run &run) const
 {
+    const auto &all = prediction_.trajectory();
+    return {all.begin(),
+            all.begin() + static_cast<std::ptrdiff_t>(run.layersChecked)};
+}
+
+robustness::FailureReport
+PlanExecutor::failure(const Run &run, const std::string &layer,
+                      const char *op, const std::string &reason) const
+{
+    return {layer, op, reason, trajectory(run)};
+}
+
+void
+PlanExecutor::executeLayer(Run &run, std::size_t layerIndex) const
+{
+    const HeLayerPlan &layer = plan_.layers[layerIndex];
+    // Instructions the prediction rejected go through guardViolation
+    // at their turn, so every guard policy sees them in stream order.
+    const auto &rejected = prediction_.rejections(layerIndex);
+    std::size_t nextRejected = 0;
+    const auto check = [&](std::size_t idx) {
+        while (nextRejected < rejected.size() &&
+               rejected[nextRejected].instr < idx)
+            ++nextRejected;
+        if (nextRejected < rejected.size() &&
+            rejected[nextRejected].instr == idx)
+            guardViolation(run, layer.name,
+                           opName(layer.instrs[idx].kind),
+                           rejected[nextRejected].reason);
+    };
     auto &regs = run.regs;
     auto reg = [&](std::int32_t id) -> ckks::Ciphertext & {
         auto &slot = regs[static_cast<std::size_t>(id)];
@@ -97,11 +122,9 @@ PlanExecutor::executeLayer(Run &run, const HeLayerPlan &layer) const
         if (next_group < groups.size() &&
             groups[next_group].begin == idx &&
             groups[next_group].hoistable()) {
-            // Guard bookkeeping runs per member up front; a rotate's
-            // apply() only forwards the source's predicted state to
-            // the destination, and no member (except a trailing
-            // dst == src) writes the shared source, so this ordering
-            // is equivalent to the serial interleaving.
+            // The guard checks every member up front; no member
+            // (except a trailing dst == src) writes the shared source,
+            // so this ordering is equivalent to the serial one.
             const RotationGroup &group = groups[next_group];
             std::vector<int> steps;
             std::vector<std::int32_t> dsts;
@@ -109,12 +132,9 @@ PlanExecutor::executeLayer(Run &run, const HeLayerPlan &layer) const
             dsts.reserve(group.count);
             for (std::size_t m = 0; m < group.count; ++m) {
                 const auto &member = layer.instrs[group.begin + m];
-                if (auto reason = run.guard.preCheck(member))
-                    guardViolation(run, layer.name,
-                                   opName(member.kind), *reason);
+                check(group.begin + m);
                 steps.push_back(member.step);
                 dsts.push_back(member.dst);
-                run.guard.apply(member);
             }
             auto rotated = run.ops->rotateHoisted(reg(instr.src),
                                                   steps);
@@ -124,9 +144,7 @@ PlanExecutor::executeLayer(Run &run, const HeLayerPlan &layer) const
             idx = group.begin + group.count - 1;
             continue;
         }
-        if (auto reason = run.guard.preCheck(instr))
-            guardViolation(run, layer.name, opName(instr.kind),
-                           *reason);
+        check(idx);
         switch (instr.kind) {
           case HeOpKind::pcMult: {
             const auto &pt = pool_.at(instr.pt);
@@ -175,14 +193,7 @@ PlanExecutor::executeLayer(Run &run, const HeLayerPlan &layer) const
             regs[static_cast<std::size_t>(instr.dst)] = reg(instr.src);
             break;
         }
-        run.guard.apply(instr);
     }
-}
-
-ExecutionResult
-PlanExecutor::execute(std::vector<ckks::Ciphertext> inputs) const
-{
-    return execute(std::move(inputs), RunControl{});
 }
 
 ExecutionResult
@@ -203,34 +214,29 @@ PlanExecutor::execute(std::vector<ckks::Ciphertext> inputs,
     runCtx.relin = &relin_;
     runCtx.galois = &galois_;
     runCtx.kswMode = execOptions_.kswMode;
-    Run run{backend_->beginRun(runCtx),
-            RuntimeGuard(plan_, context_, guardOptions_),
-            {},
-            {}};
+    Run run{backend_->beginRun(runCtx), {}, {}, 0};
     run.regs.resize(static_cast<std::size_t>(plan_.regCount));
     run.layerStats.reserve(plan_.layers.size());
-    run.guard.beginInfer();
     for (std::size_t i = 0; i < inputs.size(); ++i)
         run.regs[i] = std::move(inputs[i]);
 
     ExecutionResult out;
     const bool degrade =
         guardOptions_.policy == robustness::GuardPolicy::degrade;
-    for (const auto &layer : plan_.layers) {
+    for (std::size_t li = 0; li < plan_.layers.size(); ++li) {
+        const HeLayerPlan &layer = plan_.layers[li];
         // Cooperative between-layer deadline checkpoint: a request
         // that blew its latency budget degrades here instead of
         // burning worker time on layers nobody will wait for. This is
         // independent of the guard policy — lateness is not an
         // invariant violation.
-        if (execOptions_.deadlineCheckpoints && control.deadline &&
+        if (control.deadline &&
             std::chrono::steady_clock::now() > *control.deadline) {
-            robustness::FailureReport report;
-            report.layer = layer.name;
-            report.op = "deadline";
-            report.reason = "request deadline exceeded before layer '" +
-                            layer.name + "' (cooperative abort)";
-            report.trajectory = run.guard.trajectory();
-            out.failure = std::move(report);
+            out.failure = failure(run, layer.name, "deadline",
+                                  "request deadline exceeded before "
+                                  "layer '" +
+                                      layer.name +
+                                      "' (cooperative abort)");
             break;
         }
         try {
@@ -246,7 +252,7 @@ PlanExecutor::execute(std::vector<ckks::Ciphertext> inputs,
             const ckks::OpCounts before = run.ops->counts();
             Timer timer;
             run.ops->beginLayer(layer);
-            executeLayer(run, layer);
+            executeLayer(run, li);
             run.ops->endLayer(layer);
             MeasuredLayerStats row;
             row.name = layer.name;
@@ -268,37 +274,25 @@ PlanExecutor::execute(std::vector<ckks::Ciphertext> inputs,
             }
             run.layerStats.push_back(std::move(row));
             if (control.layerProbe)
-                control.layerProbe(
-                    static_cast<std::size_t>(&layer -
-                                             plan_.layers.data()),
-                    run.regs);
-            if (auto reason = run.guard.checkLayerEnd(layer, run.regs))
+                control.layerProbe(li, run.regs);
+            ++run.layersChecked;
+            if (auto reason = prediction_.checkLayerEnd(li, run.regs))
                 guardViolation(run, layer.name, "layer-end", *reason);
         } catch (DegradeSignal &sig) {
             out.failure = std::move(sig.report);
         } catch (const ConfigError &e) {
             if (!degrade)
                 throw;
-            robustness::FailureReport report;
-            report.layer = layer.name;
-            report.op = "exception";
-            report.reason = e.what();
-            report.trajectory = run.guard.trajectory();
-            out.failure = std::move(report);
+            out.failure = failure(run, layer.name, "exception", e.what());
         } catch (const InternalError &e) {
             if (!degrade)
                 throw;
-            robustness::FailureReport report;
-            report.layer = layer.name;
-            report.op = "exception";
-            report.reason = e.what();
-            report.trajectory = run.guard.trajectory();
-            out.failure = std::move(report);
+            out.failure = failure(run, layer.name, "exception", e.what());
         }
         if (out.failure)
             break;
     }
-    out.budget = run.guard.trajectory();
+    out.budget = trajectory(run);
     out.executed = run.ops->counts();
     out.backendName = backend_->name();
     out.simulated = run.ops->timeline();

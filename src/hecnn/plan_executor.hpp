@@ -6,15 +6,16 @@
  * A PlanExecutor borrows everything it needs by const reference — the
  * compiled plan, the CKKS context, the relinearization/Galois keys and
  * the precomputed PlaintextPool — and keeps no per-request state in
- * the object: every execute() call starts its own backend run, guard
- * and register file on the stack. Every HE op dispatches through the
- * ExecutionBackend named in ExecOptions::backend (src/hecnn/backend.hpp),
- * so the same interpreter drives the host CPU path and the
- * cycle-approximate FPGA pipeline simulator unchanged. One executor
- * therefore serves any number
- * of concurrent requests (the InferenceEngine's worker pool), and the
- * FxHENN verification loop (Sec. VII) gets the plan-interpreter half
- * without dragging in the client role.
+ * the object: every execute() call starts its own backend run and
+ * register file on the stack, and checks them against the guard
+ * prediction computed once at construction. Every HE op dispatches
+ * through the ExecutionBackend named in ExecOptions::backend
+ * (src/hecnn/backend.hpp), so the same interpreter drives the host CPU
+ * path and the cycle-approximate FPGA pipeline simulator unchanged. One
+ * executor therefore serves any number of concurrent requests (the
+ * InferenceEngine's worker pool), and the FxHENN verification loop
+ * (Sec. VII) gets the plan-interpreter half without dragging in the
+ * client role.
  */
 #ifndef FXHENN_HECNN_PLAN_EXECUTOR_HPP
 #define FXHENN_HECNN_PLAN_EXECUTOR_HPP
@@ -60,13 +61,6 @@ struct ExecOptions
      * name is a ConfigError at executor construction.
      */
     std::string backend;
-    /**
-     * Honor RunControl::deadline at layer boundaries: an in-flight
-     * request whose budget is blown aborts cooperatively with a
-     * FailureReport (op "deadline") instead of running to completion.
-     * Off means deadlines are checked only at admission.
-     */
-    bool deadlineCheckpoints = true;
 };
 
 /**
@@ -145,19 +139,14 @@ class PlanExecutor
      * encrypted input registers, in plan order). Under
      * GuardPolicy::degrade a violation or mid-layer
      * ConfigError/InternalError aborts the run with a FailureReport in
-     * the result instead of propagating. Safe to call concurrently.
-     */
-    ExecutionResult execute(std::vector<ckks::Ciphertext> inputs) const;
-
-    /**
-     * execute() with per-request serving controls: when
-     * ExecOptions::deadlineCheckpoints is on and @p control carries a
+     * the result instead of propagating. When @p control carries a
      * deadline, the run checks it at every layer boundary and aborts
      * with a FailureReport (op "deadline") once it is past — the
-     * partial trajectory up to the abort is preserved.
+     * partial trajectory up to the abort is preserved. Safe to call
+     * concurrently.
      */
     ExecutionResult execute(std::vector<ckks::Ciphertext> inputs,
-                            const RunControl &control) const;
+                            const RunControl &control = {}) const;
 
     const HeNetworkPlan &plan() const { return plan_; }
     const robustness::GuardOptions &guardOptions() const
@@ -170,17 +159,29 @@ class PlanExecutor
      * (resolved once at construction from ExecOptions::backend). */
     const ExecutionBackend &backend() const { return *backend_; }
 
+    /** What the guard expects of every run, computed at construction. */
+    const GuardPrediction &prediction() const { return prediction_; }
+
   private:
     /** Mutable state of one in-flight request, stack-allocated. */
     struct Run
     {
         std::unique_ptr<BackendRun> ops;
-        RuntimeGuard guard;
         std::vector<std::optional<ckks::Ciphertext>> regs;
         std::vector<MeasuredLayerStats> layerStats;
+        /** Layers whose end check ran: the trajectory's prefix. */
+        std::size_t layersChecked = 0;
     };
 
-    void executeLayer(Run &run, const HeLayerPlan &layer) const;
+    /** The predicted trajectory over the layers @p run has checked. */
+    std::vector<robustness::BudgetSample> trajectory(const Run &run) const;
+    /** A FailureReport carrying that trajectory. */
+    robustness::FailureReport failure(const Run &run,
+                                      const std::string &layer,
+                                      const char *op,
+                                      const std::string &reason) const;
+
+    void executeLayer(Run &run, std::size_t layerIndex) const;
     void guardViolation(Run &run, const std::string &layer,
                         const char *op, const std::string &reason) const;
 
@@ -193,6 +194,7 @@ class PlanExecutor
     robustness::GuardOptions guardOptions_;
     ExecOptions execOptions_;
     std::unique_ptr<ExecutionBackend> backend_;
+    GuardPrediction prediction_;
 };
 
 } // namespace fxhenn::hecnn

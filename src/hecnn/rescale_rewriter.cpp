@@ -2,24 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <sstream>
 #include <vector>
 
+#include "src/hecnn/liveness.hpp"
 #include "src/hecnn/plan_check.hpp"
-#include "src/modarith/primes.hpp"
+#include "src/hecnn/plan_walk.hpp"
 
 namespace fxhenn::hecnn {
 
 namespace {
-
-/** Simulated register state over the *emitted* instruction stream. */
-struct SimReg
-{
-    bool written = false;
-    std::size_t level = 0;
-    double scale = 0.0;
-};
 
 bool
 scalesMatch(double a, double b)
@@ -28,58 +20,18 @@ scalesMatch(double a, double b)
     return ratio > 0.99 && ratio < 1.01;
 }
 
-/**
- * Per-layer live-out sets by backward dataflow: liveOut[i] holds the
- * registers whose values layer i must leave in their original
- * (post-rescale) state because a later layer reads them or the plan's
- * final output decodes them.
- */
-std::vector<std::set<std::int32_t>>
-computeLiveOut(const HeNetworkPlan &plan)
-{
-    std::vector<std::set<std::int32_t>> liveOut(plan.layers.size());
-    std::set<std::int32_t> live(plan.outputLayout.regs.begin(),
-                                plan.outputLayout.regs.end());
-    for (std::size_t i = plan.layers.size(); i-- > 0;) {
-        liveOut[i] = live;
-        const auto &instrs = plan.layers[i].instrs;
-        for (std::size_t j = instrs.size(); j-- > 0;) {
-            const HeInstr &in = instrs[j];
-            if (in.kind != HeOpKind::ccAdd)
-                live.erase(in.dst); // pure definition
-            live.insert(in.src);
-            if (in.kind == HeOpKind::ccAdd)
-                live.insert(in.dst); // dst is read too
-        }
-    }
-    return liveOut;
-}
-
 /** The sinking pass itself; produces a rewritten copy of the plan. */
 struct Sinker
 {
-    const HeNetworkPlan &plan;
-    std::vector<double> primes; ///< exact q_i as doubles
-    std::vector<SimReg> sim;
+    ShapeChain chain;
+    std::vector<RegShape> sim; ///< shapes over the *emitted* stream
     std::vector<bool> pending; ///< register owes one deferred rescale
     std::vector<HeInstr> *out = nullptr;
 
-    explicit Sinker(const HeNetworkPlan &p) : plan(p)
+    explicit Sinker(const HeNetworkPlan &p)
+        : chain(ShapeChain::ofParams(p.params)),
+          sim(inputShapes(p, chain)), pending(sim.size(), false)
     {
-        const auto raw = generateNttPrimes(
-            p.params.qBits, p.params.n, p.params.levels);
-        primes.reserve(raw.size());
-        for (const std::uint64_t q : raw)
-            primes.push_back(static_cast<double>(q));
-        sim.assign(static_cast<std::size_t>(
-                       std::max(p.regCount, std::int32_t{0})),
-                   SimReg{});
-        pending.assign(sim.size(), false);
-        for (std::size_t i = 0; i < p.inputGather.size(); ++i) {
-            if (i >= sim.size())
-                break;
-            sim[i] = {true, p.params.levels, p.params.scale};
-        }
     }
 
     bool
@@ -88,47 +40,12 @@ struct Sinker
         return r >= 0 && r < static_cast<std::int32_t>(sim.size());
     }
 
-    /** Apply one emitted instruction to the simulated state. */
-    void
-    apply(const HeInstr &in)
-    {
-        const SimReg src = sim[static_cast<std::size_t>(in.src)];
-        SimReg &dst = sim[static_cast<std::size_t>(in.dst)];
-        switch (in.kind) {
-          case HeOpKind::pcMult:
-            dst = src;
-            dst.scale = src.scale * plan.params.scale;
-            break;
-          case HeOpKind::pcAdd:
-            dst = src;
-            break;
-          case HeOpKind::ccAdd:
-            break;
-          case HeOpKind::ccMult:
-            dst = src;
-            dst.scale = src.scale * src.scale;
-            break;
-          case HeOpKind::rescale:
-            dst = src;
-            if (src.level >= 2) {
-                dst.scale = src.scale / primes[src.level - 1];
-                dst.level = src.level - 1;
-            }
-            break;
-          case HeOpKind::relinearize:
-          case HeOpKind::rotate:
-          case HeOpKind::copy:
-            dst = src;
-            break;
-        }
-        dst.written = true;
-    }
-
     void
     emit(const HeInstr &in)
     {
         out->push_back(in);
-        apply(in);
+        applyShape(in, chain, sim[static_cast<std::size_t>(in.src)],
+                   sim[static_cast<std::size_t>(in.dst)]);
     }
 
     /** Discharge the deferred rescale on @p r (emits `rescale r,r`). */
@@ -144,7 +61,7 @@ struct Sinker
     /** Rewrite one layer; false = bail out (malformed instruction). */
     bool
     rewriteLayer(const HeLayerPlan &layer,
-                 const std::set<std::int32_t> &liveOut,
+                 const std::vector<std::int32_t> &liveOut,
                  std::vector<HeInstr> &rewritten)
     {
         out = &rewritten;
@@ -197,25 +114,24 @@ struct Sinker
             emit(in);
         }
 
-        // Layer boundary: discharge what later layers (or the guard's
-        // layer-end metadata check) can observe; drop debts on dead
-        // registers — their rescale is the one we eliminated.
-        std::set<std::int32_t> keep(layer.outputLayout.regs.begin(),
-                                    layer.outputLayout.regs.end());
-        if (keep.empty()) {
-            // No declared outputs: the runtime guard then checks every
-            // written register against levelOut, so flush them all.
-            for (std::size_t r = 0; r < pending.size(); ++r)
-                flush(static_cast<std::int32_t>(r));
-        } else {
-            keep.insert(liveOut.begin(), liveOut.end());
-            for (std::size_t r = 0; r < pending.size(); ++r) {
-                if (pending[r] &&
-                    keep.count(static_cast<std::int32_t>(r)))
-                    flush(static_cast<std::int32_t>(r));
-                else
-                    pending[r] = false;
+        // Layer boundary: discharge what later layers or the guard's
+        // layer-end checks observe (the layer's outputs — every written
+        // register when it declares none — and the live-out set); drop
+        // debts on dead registers — their rescale is the one we
+        // eliminated.
+        const std::vector<std::int32_t> outputs = layerOutputs(layer, sim);
+        std::vector<bool> keep(pending.size(), false);
+        for (const auto *regs : {&outputs, &liveOut}) {
+            for (const std::int32_t r : *regs) {
+                if (inRange(r))
+                    keep[static_cast<std::size_t>(r)] = true;
             }
+        }
+        for (std::size_t r = 0; r < pending.size(); ++r) {
+            if (pending[r] && keep[r])
+                flush(static_cast<std::int32_t>(r));
+            else
+                pending[r] = false;
         }
         out = nullptr;
         return true;
@@ -260,7 +176,7 @@ rewriteRescales(HeNetworkPlan &plan, const CertifyOptions &copts)
     HeNetworkPlan rewritten = plan;
     try {
         Sinker sinker(plan);
-        const auto liveOut = computeLiveOut(plan);
+        const auto liveOut = computeLiveness(plan).liveOut;
         for (std::size_t i = 0; i < plan.layers.size(); ++i) {
             std::vector<HeInstr> instrs;
             instrs.reserve(plan.layers[i].instrs.size());

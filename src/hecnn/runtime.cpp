@@ -13,25 +13,25 @@ Runtime::Runtime(const HeNetworkPlan &plan,
 {}
 
 InferOutcome
+runOutcome(const ExecutionResult &result)
+{
+    InferOutcome out;
+    out.failure = result.failure;
+    out.budget = result.budget;
+    out.backendName = result.backendName;
+    out.opsExecuted = result.executed.total();
+    out.simulated = result.simulated;
+    return out;
+}
+
+InferOutcome
 Runtime::inferGuarded(const nn::Tensor &input)
 {
-    auto result =
-        executor_.execute(session_.encryptInput(input, nextRequest_++));
-    lastCounts_ = result.executed;
-    lastLayerStats_ = std::move(result.layerStats);
-    lastSimulated_ = result.simulated;
-    lastRegs_ = std::move(result.regs);
-
-    InferOutcome out;
-    out.budget = std::move(result.budget);
-    out.backendName = std::move(result.backendName);
-    out.opsExecuted = result.executed.total();
-    out.simulated = std::move(result.simulated);
-    if (result.failure) {
-        out.failure = std::move(result.failure);
-        return out; // degraded: no decryption, no garbage logits
-    }
-    out.logits = session_.decryptLogits(lastRegs_);
+    last_ = executor_.execute(
+        session_.encryptInput({&input}, nextRequest_++));
+    InferOutcome out = runOutcome(last_);
+    if (!out.failure) // degraded: no decryption, no garbage logits
+        out.logits = session_.decryptLogits(last_.regs).front();
     return out;
 }
 
@@ -49,7 +49,7 @@ Runtime::infer(const nn::Tensor &input)
 double
 Runtime::outputHeadroomBits() const
 {
-    return session_.outputHeadroomBits(lastRegs_);
+    return session_.outputHeadroomBits(last_.regs);
 }
 
 } // namespace fxhenn::hecnn

@@ -63,6 +63,13 @@ struct InferOutcome
     }
 };
 
+/**
+ * The outcome fields of one executed run, shared by every member it
+ * served: budget, backend, op count, simulated timeline and failure.
+ * The caller decrypts the logits when there is no failure.
+ */
+InferOutcome runOutcome(const ExecutionResult &result);
+
 /** Client + server runtime for one compiled HE-CNN. */
 class Runtime
 {
@@ -104,7 +111,7 @@ class Runtime
     double outputHeadroomBits() const;
 
     /** Executed-operation counters from the last inference. */
-    const ckks::OpCounts &executedCounts() const { return lastCounts_; }
+    const ckks::OpCounts &executedCounts() const { return last_.executed; }
 
     /**
      * Measured per-layer statistics of the last infer(): wall time and
@@ -114,14 +121,14 @@ class Runtime
      */
     const std::vector<MeasuredLayerStats> &lastLayerStats() const
     {
-        return lastLayerStats_;
+        return last_.layerStats;
     }
 
     /** Simulated-latency timeline of the last inference (empty unless
      * the executor runs a hardware-simulating backend). */
     const std::vector<SimLayerLatency> &lastSimulatedLatency() const
     {
-        return lastSimulated_;
+        return last_.simulated;
     }
 
     /** Registry name of the executor's backend. */
@@ -147,10 +154,7 @@ class Runtime
     PlaintextPool pool_;
     PlanExecutor executor_;
     std::uint64_t nextRequest_ = 0;
-    ckks::OpCounts lastCounts_;
-    std::vector<MeasuredLayerStats> lastLayerStats_;
-    std::vector<SimLayerLatency> lastSimulated_;
-    std::vector<std::optional<ckks::Ciphertext>> lastRegs_;
+    ExecutionResult last_; ///< the last inference's run
 };
 
 } // namespace fxhenn::hecnn

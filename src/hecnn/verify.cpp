@@ -11,19 +11,6 @@
 
 namespace fxhenn::hecnn {
 
-namespace {
-
-std::string
-fmtBits(double v)
-{
-    std::ostringstream oss;
-    oss.precision(3);
-    oss << v;
-    return oss.str();
-}
-
-} // namespace
-
 std::string
 VerifyResult::renderDiagnosis() const
 {

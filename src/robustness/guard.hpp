@@ -14,7 +14,7 @@
  *                           structured FailureReport instead of garbage
  *                           logits (graceful degradation).
  *
- * The plan-aware tracker that produces BudgetSamples lives in
+ * The plan-aware prediction that produces BudgetSamples lives in
  * src/hecnn/guard.hpp; these types stay dependency-light so ckks and
  * dse can share them.
  */
@@ -48,13 +48,6 @@ struct GuardOptions
      * larger dynamic range to get earlier exhaustion warnings.
      */
     double messageBits = -2.0;
-    /**
-     * Relative tolerance when comparing the statically predicted scale
-     * against the ciphertext's actual scale tag. The prediction replays
-     * the evaluator's own double arithmetic, so healthy runs match
-     * bit-for-bit; any real divergence is orders of magnitude larger.
-     */
-    double scaleRelTolerance = 1e-6;
 };
 
 /** One per-layer point of the predicted noise-budget trajectory. */

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "src/analysis/liveness.hpp"
 #include "src/hecnn/compiler.hpp"
+#include "src/hecnn/liveness.hpp"
 #include "src/nn/model_zoo.hpp"
 #include "tests/analysis/plan_fixtures.hpp"
 
@@ -9,6 +9,7 @@ namespace fxhenn::analysis {
 namespace {
 
 using fixtures::tinyPlan;
+using hecnn::computeLiveness;
 using hecnn::HeOpKind;
 
 TEST(Liveness, TinyPlanHasNoDeadInstrs)

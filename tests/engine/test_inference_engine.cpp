@@ -303,14 +303,22 @@ TEST_F(InferenceEngineTest, ShedRequestDoesNotShiftSurvivorIndices)
     EXPECT_EQ(o2.logits, serial.infer(batch[2]));
 }
 
-TEST_F(InferenceEngineTest, BreakerTripsOnConsecutiveFailures)
+/**
+ * Two consecutive runs in which no member got logits trip the breaker,
+ * whatever the batch size: a malformed request served alone is such a
+ * run at B = 1 and at B = 4 alike.
+ */
+void
+expectBreakerTripsOnConsecutiveFailures(const hecnn::HeNetworkPlan &plan,
+                                        const ckks::CkksContext &ctx,
+                                        const nn::Network &net)
 {
     EngineOptions opts;
     opts.workers = 1;
     opts.guard.policy = robustness::GuardPolicy::degrade;
     opts.breaker.tripAfterConsecutiveFailures = 2;
     opts.breaker.openSeconds = 60.0; // stays open for the whole test
-    InferenceEngine engine(plan_, ctx_, opts);
+    InferenceEngine engine(plan, ctx, opts);
 
     const nn::Tensor bad({3, 1, 1});
     ASSERT_TRUE(engine.submit(bad).get().degraded());
@@ -319,7 +327,7 @@ TEST_F(InferenceEngineTest, BreakerTripsOnConsecutiveFailures)
     // Two consecutive executed failures tripped the breaker: the next
     // request is shed at admission without executing.
     const auto shedOutcome =
-        engine.submit(nn::syntheticInput(net_, 60)).get();
+        engine.submit(nn::syntheticInput(net, 60)).get();
     ASSERT_TRUE(shedOutcome.degraded());
     EXPECT_EQ(shedOutcome.failure->layer, "admission");
     EXPECT_EQ(shedOutcome.failure->op, "breaker");
@@ -329,6 +337,19 @@ TEST_F(InferenceEngineTest, BreakerTripsOnConsecutiveFailures)
     EXPECT_EQ(stats.breakerOpens, 1u);
     EXPECT_EQ(stats.shed, 1u);
     EXPECT_EQ(stats.degraded, 2u);
+}
+
+TEST_F(InferenceEngineTest, BreakerTripsOnConsecutiveFailures)
+{
+    expectBreakerTripsOnConsecutiveFailures(plan_, ctx_, net_);
+}
+
+TEST_F(InferenceEngineTest, BreakerTripsOnConsecutiveFailuresAtFourLanes)
+{
+    hecnn::CompileOptions copts;
+    copts.batchLanes = 4;
+    const auto batched = hecnn::compile(net_, params_, copts);
+    expectBreakerTripsOnConsecutiveFailures(batched, ctx_, net_);
 }
 
 TEST_F(InferenceEngineTest, PermanentFailuresAreNeverRetried)

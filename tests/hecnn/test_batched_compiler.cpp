@@ -93,7 +93,7 @@ TEST(BatchedCompiler, LayoutsAddressLaneZeroOnly)
 TEST(BatchedCompiler, GatherTouchesLaneZeroOnly)
 {
     // Lane 0 carries the compiled virtual layout; sibling lanes are
-    // filled at encrypt time by ClientSession::encryptInputBatch, so
+    // filled at encrypt time by ClientSession::encryptInput, so
     // the gather map must leave them unmapped (-1).
     const auto plan = compileBatched(4);
     const std::size_t physSlots = plan.params.n / 2;

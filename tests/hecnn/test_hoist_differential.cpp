@@ -107,8 +107,8 @@ TEST(HoistDifferential, ZooInferenceIsBitwiseIdenticalAcrossStrategies)
                              session.galoisKeys(), pool, {}, reference);
 
     const auto input = nn::syntheticInput(net, 12);
-    const auto a = optimized.execute(session.encryptInput(input, 0));
-    const auto b = eager.execute(session.encryptInput(input, 0));
+    const auto a = optimized.execute(session.encryptInput({&input}, 0));
+    const auto b = eager.execute(session.encryptInput({&input}, 0));
 
     ASSERT_FALSE(a.degraded());
     ASSERT_FALSE(b.degraded());
@@ -137,8 +137,8 @@ TEST(HoistDifferential, HoistedGroupPlanMatchesSerialExecutionBitwise)
     nn::Tensor input(8);
     for (std::size_t i = 0; i < input.size(); ++i)
         input[i] = 0.1 * static_cast<double>(i + 1);
-    const auto a = hoisted.execute(session.encryptInput(input, 0));
-    const auto b = unhoisted.execute(session.encryptInput(input, 0));
+    const auto a = hoisted.execute(session.encryptInput({&input}, 0));
+    const auto b = unhoisted.execute(session.encryptInput({&input}, 0));
     ASSERT_FALSE(a.degraded());
     ASSERT_FALSE(b.degraded());
     EXPECT_TRUE(sameRegs(a.regs, b.regs));
@@ -171,7 +171,7 @@ TEST(HoistDifferential, DecompositionTelemetryMatchesLintModel)
         nn::Tensor input(static_cast<std::size_t>(maxIndex + 1));
         for (std::size_t i = 0; i < input.size(); ++i)
             input[i] = 0.05 * static_cast<double>(i % 16 + 1);
-        const auto encrypted = session.encryptInput(input, 0);
+        const auto encrypted = session.encryptInput({&input}, 0);
 
         telemetry::reset();
         telemetry::setEnabled(true);

@@ -175,13 +175,13 @@ TEST(NoiseRewriter, RewrittenPlanDecryptsToTheSameLogits)
                               session.galoisKeys(), pool_b);
 
     const auto input = nn::syntheticInput(nn::buildTestNetwork(), 9);
-    const auto a = exec_a.execute(session.encryptInput(input, 0));
-    const auto b = exec_b.execute(session.encryptInput(input, 0));
+    const auto a = exec_a.execute(session.encryptInput({&input}, 0));
+    const auto b = exec_b.execute(session.encryptInput({&input}, 0));
     ASSERT_FALSE(a.degraded());
     ASSERT_FALSE(b.degraded());
 
-    const auto la = session.decryptLogits(a.regs);
-    const auto lb = session.decryptLogits(b.regs);
+    const auto la = session.decryptLogits(a.regs).front();
+    const auto lb = session.decryptLogits(b.regs).front();
     ASSERT_EQ(la.size(), lb.size());
     for (std::size_t i = 0; i < la.size(); ++i)
         EXPECT_NEAR(la[i], lb[i], 1e-4) << "logit " << i;

@@ -6,9 +6,16 @@
  * of the abstract interpretation). The rewritten (waterline) plans are
  * held to the same standard — a rescale rewrite that broke soundness
  * would be caught here even if its certificate claimed otherwise.
+ *
+ * The static shapes are pinned too: the plan walk's predicted level,
+ * part count and scale of every output register must equal the
+ * executed ciphertext's exactly, and the certificate's scale must be
+ * log2 of that very scale — the certifier replays the evaluator's
+ * arithmetic, not an approximation of it.
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -49,26 +56,38 @@ expectCertifiedHeadroomIsSound(const nn::Network &net,
 
     std::vector<double> measured(
         plan.layers.size(), std::numeric_limits<double>::infinity());
+    std::vector<double> maxScale(plan.layers.size(), 0.0);
     RunControl control;
     control.layerProbe =
         [&](std::size_t li,
             std::span<const std::optional<ckks::Ciphertext>> regs) {
+            const auto &predicted = exec.prediction().shapes(li);
             for (std::int32_t reg :
                  plan.layers[li].outputLayout.regs) {
-                const auto &slot =
-                    regs[static_cast<std::size_t>(reg)];
+                const auto r = static_cast<std::size_t>(reg);
+                const auto &slot = regs[r];
                 ASSERT_TRUE(slot.has_value());
                 measured[li] = std::min(
                     measured[li], session.headroomBits(*slot));
+                EXPECT_EQ(predicted[r].level, slot->level())
+                    << "layer " << li << " r" << reg;
+                EXPECT_EQ(predicted[r].parts, slot->size())
+                    << "layer " << li << " r" << reg;
+                EXPECT_EQ(predicted[r].scale, slot->scale)
+                    << "layer " << li << " r" << reg;
+                maxScale[li] = std::max(maxScale[li], slot->scale);
             }
         };
 
     const auto input = nn::syntheticInput(net, seed);
     const auto result =
-        exec.execute(session.encryptInput(input, 0), control);
+        exec.execute(session.encryptInput({&input}, 0), control);
     ASSERT_FALSE(result.degraded());
 
     for (std::size_t i = 0; i < plan.layers.size(); ++i) {
+        EXPECT_EQ(cert.layers[i].scaleBits, std::log2(maxScale[i]))
+            << "certified scale drifted from the executed one at layer '"
+            << plan.layers[i].name << "'";
         EXPECT_LE(cert.layers[i].headroomBits,
                   measured[i] + kSlackBits)
             << "certificate overclaims headroom at layer '"

@@ -319,7 +319,7 @@ TEST(SimdDifferential, ZooInferenceIsBitwiseIdenticalAcrossLevels)
     const hecnn::PlanExecutor executor(plan, ctx, session.relinKey(),
                                        session.galoisKeys(), pool);
     const auto input = nn::syntheticInput(net, 12);
-    const auto encrypted = session.encryptInput(input, 0);
+    const auto encrypted = session.encryptInput({&input}, 0);
 
     std::optional<hecnn::ExecutionResult> ref;
     {

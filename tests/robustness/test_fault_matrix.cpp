@@ -82,8 +82,8 @@ runVerifyScenario()
  * engine.queue:delay stalls the worker's queue pop past a short
  * request deadline (the fault seed scales the stall), so the request
  * is shed with a FailureReport instead of executing; for
- * engine.request:transient the probe in runRequest() degrades the
- * attempt directly (retries stay disabled here so the failure
+ * engine.request:transient the probe in the engine's group runner
+ * degrades the attempt directly (retries stay disabled here so the failure
  * surfaces instead of being cleared).
  */
 const char *

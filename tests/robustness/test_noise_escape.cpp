@@ -1,8 +1,8 @@
 /**
  * @file
- * Escape test for the certificate-driven runtime guard: PR 8 switched
- * RuntimeGuard's per-layer headroom source from ad-hoc simulation to
- * the static noise certificate, and a certificate is a *prediction* —
+ * Escape test for the certificate-driven runtime guard: the guard's
+ * per-layer headroom source is the static noise certificate, not an
+ * ad-hoc simulation, and a certificate is a *prediction* —
  * it cannot see a fault that corrupts ciphertext limbs at run time.
  * This suite proves the swap opened no escape hatch: the guard still
  * detects injected limb corruption and degrades the run, while clean
@@ -55,7 +55,7 @@ TEST_F(NoiseEscapeTest, GuardConsumesCertificateAndCatchesCorruption)
     // Clean run: no degradation, and the guard's trajectory carries
     // the statically certified noise bound at every layer — the
     // certificate is demonstrably the headroom source, not a fallback.
-    const auto clean = exec.execute(session.encryptInput(input, 0));
+    const auto clean = exec.execute(session.encryptInput({&input}, 0));
     ASSERT_FALSE(clean.degraded());
     ASSERT_EQ(clean.budget.size(), plan.layers.size());
     for (const auto &sample : clean.budget) {
