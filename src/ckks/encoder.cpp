@@ -92,26 +92,21 @@ Encoder::encode(std::span<const std::complex<double>> values, double scale,
 
     fftSpecialInv(slots);
 
-    const std::uint64_t n = context_.n();
-    const RnsBasis &basis = context_.basis();
-    RnsPoly poly(basis, level, /*withSpecial=*/false, PolyDomain::coeff);
-    for (std::size_t limb = 0; limb < level; ++limb) {
-        const Modulus &q = basis.q(limb);
-        auto dst = poly.limb(limb);
-        for (std::size_t i = 0; i < n_slots; ++i) {
-            const double re = slots[i].real() * scale;
-            const double im = slots[i].imag() * scale;
-            FXHENN_FATAL_IF(std::abs(re) > 9.2e18 || std::abs(im) > 9.2e18,
-                            "encoded coefficient overflows 63 bits; "
-                            "reduce the message magnitude or scale");
-            dst[i] = q.reduceSigned(static_cast<__int128>(
-                std::llround(re)));
-            dst[i + n_slots] = q.reduceSigned(static_cast<__int128>(
-                std::llround(im)));
-        }
+    // Round each coefficient once; assignSigned spreads it over the
+    // limbs and transforms them in one limb loop.
+    std::vector<std::int64_t> coeffs(context_.n());
+    for (std::size_t i = 0; i < n_slots; ++i) {
+        const double re = slots[i].real() * scale;
+        const double im = slots[i].imag() * scale;
+        FXHENN_FATAL_IF(std::abs(re) > 9.2e18 || std::abs(im) > 9.2e18,
+                        "encoded coefficient overflows 63 bits; "
+                        "reduce the message magnitude or scale");
+        coeffs[i] = std::llround(re);
+        coeffs[i + n_slots] = std::llround(im);
     }
-    (void)n;
-    poly.toNtt();
+    RnsPoly poly = RnsPoly::uninitialized(
+        context_.basis(), level, /*withSpecial=*/false, PolyDomain::ntt);
+    poly.assignSigned(coeffs);
     return Plaintext{std::move(poly), scale};
 }
 

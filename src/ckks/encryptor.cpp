@@ -22,16 +22,18 @@ Encryptor::encrypt(const Plaintext &plain, Rng &rng) const
     const std::size_t level = plain.level();
     const std::size_t max_level = context_.maxLevel();
 
-    RnsPoly u(basis, max_level, false, PolyDomain::coeff);
+    // Sampling writes every limb.
+    const auto fresh = [&] {
+        return RnsPoly::uninitialized(basis, max_level, false,
+                                      PolyDomain::ntt);
+    };
+    RnsPoly u = fresh();
     u.sampleTernary(rng);
-    u.toNtt();
 
-    RnsPoly e0(basis, max_level, false, PolyDomain::coeff);
+    RnsPoly e0 = fresh();
     e0.sampleGaussian(rng, context_.params().sigma);
-    e0.toNtt();
-    RnsPoly e1(basis, max_level, false, PolyDomain::coeff);
+    RnsPoly e1 = fresh();
     e1.sampleGaussian(rng, context_.params().sigma);
-    e1.toNtt();
 
     RnsPoly c0 = publicKey_.pk0;
     c0.mulInplace(u);

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cmath>
+#include <vector>
 
 #include "src/common/assert.hpp"
 #include "src/common/parallel.hpp"
@@ -227,9 +228,10 @@ Evaluator::decomposeKsw(const RnsPoly &d)
     coeff.fromNtt();
     std::vector<RnsPoly> digits;
     digits.reserve(level);
+    // ModUp writes every limb of every digit.
     for (std::size_t i = 0; i < level; ++i)
-        digits.emplace_back(basis, level, /*withSpecial=*/true,
-                            PolyDomain::ntt);
+        digits.push_back(RnsPoly::uninitialized(
+            basis, level, /*withSpecial=*/true, PolyDomain::ntt));
 
     // One flat batch over every (digit, target limb) pair: extend limb
     // i of d into modulus j, then forward-NTT it there. All writes are
@@ -289,8 +291,18 @@ Evaluator::keyswitchCore(const std::vector<RnsPoly> &digits,
                            2 * (level + 1) * n * (level - 1));
     }
 
-    RnsPoly u0(basis, level, /*withSpecial=*/true, PolyDomain::ntt);
-    RnsPoly u1(basis, level, /*withSpecial=*/true, PolyDomain::ntt);
+    // The lazy inner product overwrites every limb of the
+    // accumulators; the eager one adds into them.
+    const auto accumulator = [&] {
+        return kswMode_ == KswMode::lazy
+                   ? RnsPoly::uninitialized(basis, level,
+                                            /*withSpecial=*/true,
+                                            PolyDomain::ntt)
+                   : RnsPoly(basis, level, /*withSpecial=*/true,
+                             PolyDomain::ntt);
+    };
+    RnsPoly u0 = accumulator();
+    RnsPoly u1 = accumulator();
 
     // Every target limb j of the accumulators is independent; all
     // writes stay disjoint. When perm is given, the Galois
@@ -342,19 +354,16 @@ Evaluator::keyswitchCore(const std::vector<RnsPoly> &digits,
         }
     });
 
-    // Exact scale-down by p (ModDown). The lazy path stays in the NTT
-    // domain (only the special limbs are inverse-transformed); eager
-    // keeps the coefficient-domain round trip as its reference.
-    if (kswMode_ == KswMode::eager) {
-        std::array<RnsPoly *, 2> batch{&u0, &u1};
+    // Exact scale-down by p (ModDown), both accumulators in one batch.
+    // The lazy path stays in the NTT domain (only the special limbs are
+    // inverse-transformed); eager keeps the coefficient-domain round
+    // trip as its reference.
+    const std::array<RnsPoly *, 2> batch{&u0, &u1};
+    if (kswMode_ == KswMode::eager)
         batchFromNtt(batch);
-        u0.modDownSpecial();
-        u1.modDownSpecial();
+    batchModDownSpecial(batch);
+    if (kswMode_ == KswMode::eager)
         batchToNtt(batch);
-    } else {
-        u0.modDownSpecial();
-        u1.modDownSpecial();
-    }
     return {std::move(u0), std::move(u1)};
 }
 
@@ -407,8 +416,10 @@ Evaluator::rescaleInplace(Ciphertext &a)
     FXHENN_TELEM_COUNT("ckks.limbs", a.level() * a.parts.size());
     const std::uint64_t q_last =
         context_.basis().q(a.level() - 1).value();
+    std::vector<RnsPoly *> parts;
     for (auto &part : a.parts)
-        part.rescaleLastPrime();
+        parts.push_back(&part);
+    batchRescaleLastPrime(parts);
     a.scale /= static_cast<double>(q_last);
     if (fault && fault->kind == "bitflip")
         robustness::corruptResidues(a.parts[0], fault->seed);

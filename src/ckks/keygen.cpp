@@ -8,9 +8,8 @@ KeyGenerator::KeyGenerator(const CkksContext &context, Rng &rng)
     : context_(context), rng_(rng)
 {
     RnsPoly s(context.basis(), context.maxLevel(), /*withSpecial=*/true,
-              PolyDomain::coeff);
+              PolyDomain::ntt);
     s.sampleTernary(rng_);
-    s.toNtt();
     secretKey_ = SecretKey{std::move(s)};
 }
 
@@ -25,9 +24,8 @@ KeyGenerator::makePublicKey()
     a.sampleUniform(rng_);
     a.toNtt();
 
-    RnsPoly e(basis, level, false, PolyDomain::coeff);
+    RnsPoly e(basis, level, false, PolyDomain::ntt);
     e.sampleGaussian(rng_, context_.params().sigma);
-    e.toNtt();
 
     // s restricted to the data primes.
     RnsPoly s_data(basis, level, false, PolyDomain::ntt);
@@ -65,9 +63,8 @@ KeyGenerator::makeKswKey(const RnsPoly &s_from)
         a.sampleUniform(rng_);
         a.toNtt();
 
-        RnsPoly e(basis, level, true, PolyDomain::coeff);
+        RnsPoly e(basis, level, true, PolyDomain::ntt);
         e.sampleGaussian(rng_, context_.params().sigma);
-        e.toNtt();
 
         RnsPoly k0 = e;
         RnsPoly as = a;

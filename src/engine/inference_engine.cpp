@@ -81,6 +81,10 @@ InferenceEngine::runGroup(
     const std::vector<std::uint64_t> &indices,
     const std::optional<Clock::time_point> &deadline)
 {
+    // A worker counts against the thread budget while it runs a
+    // request, so its limb loops fan out only onto the cores the
+    // other workers leave idle.
+    const BudgetClaim busy;
     std::vector<hecnn::InferOutcome> outcomes(inputs.size());
     FXHENN_TELEM_COUNT("engine.requests",
                        static_cast<std::int64_t>(inputs.size()));
@@ -327,6 +331,8 @@ InferenceEngine::runBatch(const std::vector<nn::Tensor> &inputs,
     // Consecutive B-groups, so the member composition (and with it the
     // encryption stream) is deterministic regardless of which worker
     // runs which group. With one lane every request is its own group.
+    // At most `workers` groups run at once; their limb loops use what
+    // the thread budget has left.
     const std::size_t groups = (inputs.size() + lanes_ - 1) / lanes_;
     parallelForWorkers(options_.workers, groups, [&](std::size_t g) {
         const std::size_t lo = g * lanes_;
@@ -483,9 +489,6 @@ InferenceEngine::startWorkers()
 void
 InferenceEngine::workerLoop()
 {
-    // Request-level parallelism owns the threads here; the RNS-limb
-    // loops inside the kernels run inline on this thread.
-    markPoolWorker(true);
     Job job;
     while (queue_.pop(job)) {
         // Injected queue delay (a stalled upstream, a slow scheduler
@@ -499,7 +502,6 @@ InferenceEngine::workerLoop()
         }
         workerRunWindow(std::move(job));
     }
-    markPoolWorker(false);
 }
 
 void

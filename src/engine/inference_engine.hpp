@@ -7,8 +7,11 @@
  * stateless plan interpreter, hecnn::PlaintextPool for the shared
  * weight encodings) and adds the serving concerns on top:
  *
- *  - a worker pool (common/parallel) running N requests concurrently
- *    over shared read-only keys, plan and plaintext pool;
+ *  - worker threads running N requests concurrently over shared
+ *    read-only keys, plan and plaintext pool; a worker counts against
+ *    the common/parallel thread budget while it runs a request, and
+ *    the limb loops of its request fan out to the budget's idle
+ *    threads;
  *  - a bounded request queue for the streaming submit() path, with an
  *    AdmissionPolicy (block | shed | degrade) deciding what happens
  *    when it fills or a request cannot meet its deadline;
@@ -190,7 +193,8 @@ class InferenceEngine
     InferenceEngine &operator=(const InferenceEngine &) = delete;
 
     /**
-     * Run @p inputs as one batch over the worker pool and return the
+     * Run @p inputs as one batch, at most EngineOptions::workers
+     * groups at a time on the common/parallel pool, and return the
      * outcomes in input order. Deterministic for a fixed key seed and
      * submission history, independent of the worker count. A request
      * that throws ConfigError/InternalError mid-flight yields a

@@ -7,6 +7,7 @@
 
 #include "src/ckks/noise.hpp"
 #include "src/common/assert.hpp"
+#include "src/common/parallel.hpp"
 #include "src/telemetry/telemetry.hpp"
 
 namespace fxhenn::hecnn {
@@ -86,11 +87,13 @@ ClientSession::encryptInput(const std::vector<const nn::Tensor *> &lanes,
             validateInput(*member);
     }
     FXHENN_TELEM_SCOPED_TIMER("hecnn.client.encrypt.ns");
-    Rng rng(mixRequestSeed(seed_, requestKey));
     const std::size_t slots = context_.slots();
-    std::vector<ckks::Ciphertext> cts;
-    cts.reserve(plan_.inputGather.size());
-    for (const auto &gather : plan_.inputGather) {
+    // Encoding draws no randomness, so every plaintext encodes in one
+    // pool loop; encryption then draws from the request's stream in
+    // plan order, one ciphertext after another.
+    std::vector<ckks::Plaintext> plains(plan_.inputGather.size());
+    parallelFor(plains.size(), [&](std::size_t g) {
+        const auto &gather = plan_.inputGather[g];
         std::vector<double> v(slots, 0.0);
         // The stride-B gather populates lane 0 only; the client fills
         // member b's data into the sibling slot s*B + b.
@@ -105,11 +108,18 @@ ClientSession::encryptInput(const std::vector<const nn::Tensor *> &lanes,
                 }
             }
         }
-        const auto plain =
-            encoder_.encode(std::span<const double>(v),
-                            context_.params().scale,
-                            context_.maxLevel());
+        plains[g] = encoder_.encode(std::span<const double>(v),
+                                    context_.params().scale,
+                                    context_.maxLevel());
+    });
+    Rng rng(mixRequestSeed(seed_, requestKey));
+    std::vector<ckks::Ciphertext> cts;
+    cts.reserve(plains.size());
+    for (auto &plain : plains) {
         cts.push_back(encryptor_.encrypt(plain, rng));
+        // Its limbs serve the next ciphertext: the request's peak
+        // memory stays that of its ciphertexts.
+        plain = ckks::Plaintext{};
     }
     return cts;
 }

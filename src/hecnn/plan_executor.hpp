@@ -149,11 +149,6 @@ class PlanExecutor
                             const RunControl &control = {}) const;
 
     const HeNetworkPlan &plan() const { return plan_; }
-    const robustness::GuardOptions &guardOptions() const
-    {
-        return guardOptions_;
-    }
-    const ExecOptions &execOptions() const { return execOptions_; }
 
     /** The execution backend every op of this executor runs through
      * (resolved once at construction from ExecOptions::backend). */

@@ -124,19 +124,6 @@ class Runtime
         return last_.layerStats;
     }
 
-    /** Simulated-latency timeline of the last inference (empty unless
-     * the executor runs a hardware-simulating backend). */
-    const std::vector<SimLayerLatency> &lastSimulatedLatency() const
-    {
-        return last_.simulated;
-    }
-
-    /** Registry name of the executor's backend. */
-    const std::string &backendName() const
-    {
-        return executor_.backend().name();
-    }
-
     /** Number of Galois keys generated (rotation key footprint). */
     std::size_t galoisKeyCount() const
     {

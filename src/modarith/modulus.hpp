@@ -175,8 +175,21 @@ class Modulus
      */
     std::uint64_t inverse(std::uint64_t a) const;
 
-    /** Reduce an arbitrary signed value into [0, q). */
-    std::uint64_t reduceSigned(__int128 x) const;
+    /**
+     * Reduce an arbitrary signed value into [0, q): the magnitude
+     * through reduceWide() (exact for every 128-bit value), negated
+     * for a negative @p x — the residues of x % q, without a 128-bit
+     * division.
+     */
+    std::uint64_t
+    reduceSigned(__int128 x) const
+    {
+        const bool negative = x < 0;
+        const auto magnitude = static_cast<unsigned __int128>(x);
+        const std::uint64_t r =
+            reduceWide(negative ? -magnitude : magnitude);
+        return negative ? negate(r) : r;
+    }
 
     /** Map a residue to its centered representative in (-q/2, q/2]. */
     std::int64_t

@@ -9,6 +9,12 @@ namespace fxhenn {
 
 RnsPoly::RnsPoly(const RnsBasis &basis, std::size_t level, bool withSpecial,
                  PolyDomain domain)
+    : RnsPoly(basis, level, withSpecial, domain, /*zeroFill=*/true)
+{
+}
+
+RnsPoly::RnsPoly(const RnsBasis &basis, std::size_t level, bool withSpecial,
+                 PolyDomain domain, bool zeroFill)
     : basis_(&basis), level_(level), hasSpecial_(withSpecial),
       domain_(domain)
 {
@@ -17,7 +23,16 @@ RnsPoly::RnsPoly(const RnsBasis &basis, std::size_t level, bool withSpecial,
     const std::size_t count = level + (withSpecial ? 1 : 0);
     limbs_.reserve(count);
     for (std::size_t i = 0; i < count; ++i)
-        limbs_.emplace_back(basis.n());
+        limbs_.push_back(zeroFill
+                             ? rns::PooledBuffer(basis.n())
+                             : rns::PooledBuffer::uninitialized(basis.n()));
+}
+
+RnsPoly
+RnsPoly::uninitialized(const RnsBasis &basis, std::size_t level,
+                       bool withSpecial, PolyDomain domain)
+{
+    return RnsPoly(basis, level, withSpecial, domain, /*zeroFill=*/false);
 }
 
 std::span<std::uint64_t>
@@ -162,52 +177,61 @@ RnsPoly::fromNtt()
 }
 
 void
-RnsPoly::divideByLastLimb()
+RnsPoly::divideByLastLimb(std::span<RnsPoly *const> polys)
 {
-    const std::size_t last = limbs_.size() - 1;
-    const Modulus &p = limbModulus(last);
-    auto &tail = limbs_[last];
-    const bool ntt = domain_ == PolyDomain::ntt;
     // Only the dropped limb leaves the NTT domain: its centered
     // residues are transformed under each remaining prime, where the
     // subtraction and scaling happen. The NTT is linear mod q_j, so
     // this is bitwise the coefficient-domain result.
-    if (ntt)
-        limbNtt(last).inverse(tail);
-    const auto &kern = simd::kernels();
+    std::vector<RnsPoly *> ntt;
+    for (RnsPoly *p : polys)
+        if (p->domain_ == PolyDomain::ntt)
+            ntt.push_back(p);
+    parallelFor(ntt.size(), [&](std::size_t k) {
+        const std::size_t last = ntt[k]->limbs_.size() - 1;
+        ntt[k]->limbNtt(last).inverse(ntt[k]->limbs_[last]);
+    });
     // Remaining limbs are written disjointly (all read only the tail).
-    parallelFor(last, [&](std::size_t j) {
-        const Modulus &q = basis_->q(j);
-        const std::uint64_t inv = hasSpecial_
-                                      ? basis_->invSpecial(j)
-                                      : basis_->invLastPrime(level_, j);
+    std::vector<std::pair<RnsPoly *, std::size_t>> jobs;
+    for (RnsPoly *p : polys)
+        for (std::size_t j = 0; j + 1 < p->limbs_.size(); ++j)
+            jobs.emplace_back(p, j);
+    const auto &kern = simd::kernels();
+    parallelFor(jobs.size(), [&](std::size_t job) {
+        auto [poly, j] = jobs[job];
+        const RnsPoly &p = *poly;
+        const std::size_t last = p.limbs_.size() - 1;
+        const auto &tail = p.limbs_[last];
+        const Modulus &q = p.basis_->q(j);
+        const std::uint64_t inv =
+            p.hasSpecial_ ? p.basis_->invSpecial(j)
+                          : p.basis_->invLastPrime(p.level_, j);
         auto r = rns::WorkspacePool::leaseU64(tail.size());
         FXHENN_TELEM_COUNT("modarith.simd.dispatches", 2);
-        kern.centerLimb(r.data(), tail.data(), r.size(), q, p);
-        if (ntt)
-            basis_->ntt(j).forward(r);
-        kern.dropLimb(limbs_[j].data(), r.data(), r.size(), q, inv,
+        kern.centerLimb(r.data(), tail.data(), r.size(), q,
+                        p.limbModulus(last));
+        if (p.domain_ == PolyDomain::ntt)
+            p.basis_->ntt(j).forward(r);
+        kern.dropLimb(poly->limbs_[j].data(), r.data(), r.size(), q, inv,
                       q.shoupConstant(inv));
         rns::WorkspacePool::release(std::move(r));
     });
-    limbs_.pop_back();
+    for (RnsPoly *p : polys)
+        p->limbs_.pop_back();
 }
 
 void
 RnsPoly::rescaleLastPrime()
 {
-    FXHENN_ASSERT(!hasSpecial_, "rescale with special limb present");
-    FXHENN_ASSERT(level_ >= 2, "cannot rescale a level-1 polynomial");
-    divideByLastLimb();
-    --level_;
+    RnsPoly *self = this;
+    batchRescaleLastPrime({&self, 1});
 }
 
 void
 RnsPoly::modDownSpecial()
 {
-    FXHENN_ASSERT(hasSpecial_, "no special limb to remove");
-    divideByLastLimb();
-    hasSpecial_ = false;
+    RnsPoly *self = this;
+    batchModDownSpecial({&self, 1});
 }
 
 void
@@ -231,33 +255,36 @@ RnsPoly::sampleUniform(Rng &rng)
 }
 
 void
+RnsPoly::assignSigned(std::span<const std::int64_t> coeffs)
+{
+    FXHENN_ASSERT(coeffs.size() == basis_->n(),
+                  "one signed value per coefficient required");
+    parallelFor(limbs_.size(), [&](std::size_t i) {
+        const Modulus &q = limbModulus(i);
+        auto &dst = limbs_[i];
+        for (std::size_t k = 0; k < coeffs.size(); ++k)
+            dst[k] = q.reduceSigned(coeffs[k]);
+        limbNtt(i).forward(dst);
+    });
+    domain_ = PolyDomain::ntt;
+}
+
+void
 RnsPoly::sampleTernary(Rng &rng)
 {
-    const std::uint64_t n = basis_->n();
-    std::vector<std::int64_t> secret(n);
+    std::vector<std::int64_t> secret(basis_->n());
     for (auto &s : secret)
         s = rng.ternary();
-    for (std::size_t i = 0; i < limbs_.size(); ++i) {
-        const Modulus &q = limbModulus(i);
-        for (std::size_t k = 0; k < n; ++k)
-            limbs_[i][k] = q.reduceSigned(secret[k]);
-    }
-    domain_ = PolyDomain::coeff;
+    assignSigned(secret);
 }
 
 void
 RnsPoly::sampleGaussian(Rng &rng, double sigma)
 {
-    const std::uint64_t n = basis_->n();
-    std::vector<std::int64_t> err(n);
+    std::vector<std::int64_t> err(basis_->n());
     for (auto &e : err)
         e = rng.gaussian(sigma);
-    for (std::size_t i = 0; i < limbs_.size(); ++i) {
-        const Modulus &q = limbModulus(i);
-        for (std::size_t k = 0; k < n; ++k)
-            limbs_[i][k] = q.reduceSigned(err[k]);
-    }
-    domain_ = PolyDomain::coeff;
+    assignSigned(err);
 }
 
 RnsPoly
@@ -294,7 +321,8 @@ RnsPoly::permuteNtt(std::span<const std::uint32_t> perm) const
                   "permuteNtt requires NTT domain");
     FXHENN_ASSERT(perm.size() == basis_->n(),
                   "permutation table size mismatch");
-    RnsPoly out(*basis_, level_, hasSpecial_, PolyDomain::ntt);
+    RnsPoly out = uninitialized(*basis_, level_, hasSpecial_,
+                                PolyDomain::ntt);
     for (std::size_t i = 0; i < limbs_.size(); ++i) {
         const auto &src = limbs_[i];
         auto dst = out.limb(i);
@@ -359,6 +387,30 @@ batchToNtt(std::span<RnsPoly *const> polys)
     });
     for (RnsPoly *p : polys)
         p->setDomain(PolyDomain::ntt);
+}
+
+void
+batchRescaleLastPrime(std::span<RnsPoly *const> polys)
+{
+    for (const RnsPoly *p : polys) {
+        FXHENN_ASSERT(!p->hasSpecial_,
+                      "rescale with special limb present");
+        FXHENN_ASSERT(p->level_ >= 2,
+                      "cannot rescale a level-1 polynomial");
+    }
+    RnsPoly::divideByLastLimb(polys);
+    for (RnsPoly *p : polys)
+        --p->level_;
+}
+
+void
+batchModDownSpecial(std::span<RnsPoly *const> polys)
+{
+    for (const RnsPoly *p : polys)
+        FXHENN_ASSERT(p->hasSpecial_, "no special limb to remove");
+    RnsPoly::divideByLastLimb(polys);
+    for (RnsPoly *p : polys)
+        p->hasSpecial_ = false;
 }
 
 } // namespace fxhenn

@@ -42,6 +42,15 @@ class RnsPoly
     RnsPoly(const RnsBasis &basis, std::size_t level,
             bool withSpecial = false, PolyDomain domain = PolyDomain::ntt);
 
+    /**
+     * A polynomial of the same shape with unspecified limb contents,
+     * for a caller that writes every limb before it reads one (it
+     * skips the constructor's zero fill, which on the keyswitch path
+     * is serial work on the request's thread).
+     */
+    static RnsPoly uninitialized(const RnsBasis &basis, std::size_t level,
+                                 bool withSpecial, PolyDomain domain);
+
     const RnsBasis &basis() const { return *basis_; }
     std::size_t level() const { return level_; }
     bool hasSpecial() const { return hasSpecial_; }
@@ -106,13 +115,23 @@ class RnsPoly
     /** Drop the last data prime without scaling (ModSwitch). */
     void dropLastPrime();
 
-    // --- sampling (all produce coefficient-domain polynomials)
+    /**
+     * Set every limb to the residues of @p coeffs (one signed value
+     * per coefficient, n() of them), in the NTT domain. One limb loop
+     * reduces and transforms each limb.
+     */
+    void assignSigned(std::span<const std::int64_t> coeffs);
 
-    /** Fill with uniform residues (independent per limb). */
+    // --- sampling
+
+    /** Fill with uniform residues (independent per limb); coefficient
+     *  domain. */
     void sampleUniform(Rng &rng);
-    /** Fill with a shared ternary secret across all limbs. */
+    /** Fill with a shared ternary secret across all limbs, drawn once
+     *  per coefficient; NTT domain (see assignSigned). */
     void sampleTernary(Rng &rng);
-    /** Fill with a shared centered Gaussian error across all limbs. */
+    /** Fill with a shared centered Gaussian error across all limbs,
+     *  drawn once per coefficient; NTT domain. */
     void sampleGaussian(Rng &rng, double sigma);
 
     /**
@@ -134,16 +153,26 @@ class RnsPoly
     bool operator==(const RnsPoly &other) const;
 
   private:
+    friend void batchRescaleLastPrime(std::span<RnsPoly *const> polys);
+    friend void batchModDownSpecial(std::span<RnsPoly *const> polys);
+
+    /** The public constructor's shape; zero-fills the limbs when
+     *  @p zeroFill is set. */
+    RnsPoly(const RnsBasis &basis, std::size_t level, bool withSpecial,
+            PolyDomain domain, bool zeroFill);
+
     void checkCompatible(const RnsPoly &other) const;
 
     /**
      * The divide-and-round both rescale and ModDown share: c_j <- (c_j
-     * - [c_last]) * p^-1 mod q_j for every remaining limb j, where p is
-     * the prime of the last limb (the special prime when present), then
-     * drop that limb. In the NTT domain only the dropped limb is
-     * inverse-transformed.
+     * - [c_last]) * p^-1 mod q_j for every remaining limb j of every
+     * polynomial, where p is the prime of its last limb (the special
+     * prime when present), then drop that limb. In the NTT domain only
+     * the dropped limbs are inverse-transformed. Two limb loops serve
+     * all of @p polys: the dropped limbs, one job each, then every
+     * (polynomial, remaining limb) pair.
      */
-    void divideByLastLimb();
+    static void divideByLastLimb(std::span<RnsPoly *const> polys);
 
     const RnsBasis *basis_ = nullptr;
     std::size_t level_ = 0;
@@ -163,6 +192,15 @@ void batchFromNtt(std::span<RnsPoly *const> polys);
 
 /** Batched counterpart of toNtt() (coefficient -> NTT domain). */
 void batchToNtt(std::span<RnsPoly *const> polys);
+
+/**
+ * rescaleLastPrime() on several polynomials (the parts of one
+ * ciphertext) with two limb loops between them instead of two each.
+ */
+void batchRescaleLastPrime(std::span<RnsPoly *const> polys);
+
+/** modDownSpecial() on several polynomials, batched the same way. */
+void batchModDownSpecial(std::span<RnsPoly *const> polys);
 
 } // namespace fxhenn
 

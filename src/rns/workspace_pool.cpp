@@ -83,6 +83,12 @@ PooledBuffer::PooledBuffer(std::size_t n)
     std::fill(buf_.begin(), buf_.end(), 0);
 }
 
+PooledBuffer
+PooledBuffer::uninitialized(std::size_t n)
+{
+    return PooledBuffer(WorkspacePool::leaseU64(n));
+}
+
 PooledBuffer::PooledBuffer(const PooledBuffer &other)
     : buf_(WorkspacePool::leaseU64(other.buf_.size()))
 {

@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace fxhenn::rns {
@@ -70,6 +71,10 @@ class PooledBuffer
     /** Lease an n-element buffer, zero-filled. */
     explicit PooledBuffer(std::size_t n);
 
+    /** Lease an n-element buffer with unspecified contents, for a
+     *  caller that writes every element before it reads one. */
+    static PooledBuffer uninitialized(std::size_t n);
+
     PooledBuffer(const PooledBuffer &other);
     PooledBuffer &operator=(const PooledBuffer &other);
     PooledBuffer(PooledBuffer &&other) noexcept = default;
@@ -96,6 +101,11 @@ class PooledBuffer
     }
 
   private:
+    explicit PooledBuffer(std::vector<std::uint64_t> &&leased)
+        : buf_(std::move(leased))
+    {
+    }
+
     std::vector<std::uint64_t> buf_;
 };
 

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <numeric>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "src/common/assert.hpp"
@@ -11,6 +14,7 @@
 #include "src/hecnn/compiler.hpp"
 #include "src/hecnn/runtime.hpp"
 #include "src/nn/model_zoo.hpp"
+#include "src/telemetry/telemetry.hpp"
 
 namespace fxhenn {
 namespace {
@@ -50,13 +54,68 @@ TEST(Parallel, SerialModeMatchesParallelResults)
     EXPECT_EQ(parallel_out, serial_out);
 }
 
-TEST(Parallel, NestedCallsExecuteInline)
+/** Nested loops two deep; every inner item runs exactly once. */
+void
+expectNestedLoopsTerminate()
 {
     std::atomic<int> total{0};
     parallelFor(8, [&](std::size_t) {
         parallelFor(8, [&](std::size_t) { total.fetch_add(1); });
     });
     EXPECT_EQ(total.load(), 64);
+}
+
+/** Restores the thread budget a test changes. */
+class BudgetGuard
+{
+  public:
+    explicit BudgetGuard(unsigned budget) { setThreadCount(budget); }
+    ~BudgetGuard() { setThreadCount(saved_); }
+    BudgetGuard(const BudgetGuard &) = delete;
+    BudgetGuard &operator=(const BudgetGuard &) = delete;
+
+  private:
+    unsigned saved_ = threadCount();
+};
+
+/**
+ * Run fn on a pool helper: the caller's own item of a two-item loop
+ * waits until the other item has started on another thread. Returns
+ * false when no helper showed up within the timeout.
+ */
+bool
+runOnHelper(const std::function<void()> &fn)
+{
+    const auto caller = std::this_thread::get_id();
+    std::atomic<bool> started{false};
+    bool ranOnHelper = false;
+    parallelFor(2, [&](std::size_t) {
+        if (std::this_thread::get_id() != caller) {
+            started.store(true);
+            ranOnHelper = true;
+            fn();
+            return;
+        }
+        const auto until =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!started.load() && std::chrono::steady_clock::now() < until)
+            std::this_thread::yield();
+    });
+    return ranOnHelper;
+}
+
+TEST(Parallel, NestedCallsTerminate)
+{
+    const BudgetGuard budget(4);
+    expectNestedLoopsTerminate();
+    // From a pool helper, and from a thread counted against the budget
+    // the way an engine worker is while it serves a request.
+    EXPECT_TRUE(runOnHelper(expectNestedLoopsTerminate));
+    std::thread worker([] {
+        const BudgetClaim busy;
+        expectNestedLoopsTerminate();
+    });
+    worker.join();
 }
 
 TEST(Parallel, ExceptionsPropagate)
@@ -67,6 +126,94 @@ TEST(Parallel, ExceptionsPropagate)
                                      throw ConfigError("boom");
                              }),
                  ConfigError);
+}
+
+TEST(Parallel, ExceptionOnAHelperReachesTheCallerAndThePoolStaysUsable)
+{
+    const BudgetGuard budget(4);
+    EXPECT_THROW(
+        {
+            const bool onHelper =
+                runOnHelper([] { throw ConfigError("helper boom"); });
+            ADD_FAILURE() << "no exception; ran on helper: " << onHelper;
+        },
+        ConfigError);
+    std::vector<std::size_t> out(256);
+    parallelFor(out.size(), [&](std::size_t i) { out[i] = i * i; });
+    for (std::size_t i = 0; i < out.size(); ++i)
+        EXPECT_EQ(out[i], i * i);
+}
+
+TEST(Parallel, ConcurrentCallersEachGetExactResults)
+{
+    const BudgetGuard budget(4);
+    constexpr std::size_t kCallers = 4;
+    constexpr std::size_t kRounds = 200;
+    std::vector<std::uint64_t> mismatches(kCallers, 0);
+    std::vector<std::thread> callers;
+    for (std::size_t c = 0; c < kCallers; ++c) {
+        callers.emplace_back([&, c] {
+            for (std::size_t round = 0; round < kRounds; ++round) {
+                std::vector<std::uint64_t> out(64, 0);
+                parallelFor(out.size(), [&](std::size_t i) {
+                    out[i] = (c + 1) * 1000003 + round * 64 + i;
+                });
+                for (std::size_t i = 0; i < out.size(); ++i)
+                    mismatches[c] +=
+                        out[i] != (c + 1) * 1000003 + round * 64 + i;
+            }
+        });
+    }
+    for (auto &t : callers)
+        t.join();
+    for (std::size_t c = 0; c < kCallers; ++c)
+        EXPECT_EQ(mismatches[c], 0u) << "caller " << c;
+}
+
+TEST(Parallel, HelpersAreCreatedOnceAndTelemetryKeepsItsMeaning)
+{
+    if (!telemetry::compiledIn())
+        GTEST_SKIP() << "telemetry compiled out";
+    const BudgetGuard budget(4);
+    // The first call may create the helpers; no later one creates any.
+    parallelFor(8, [](std::size_t) {});
+    telemetry::setEnabled(true);
+    telemetry::reset();
+    constexpr std::size_t kCalls = 1000;
+    constexpr std::size_t kItems = 8;
+    for (std::size_t call = 0; call < kCalls; ++call) {
+        parallelFor(kItems, [](std::size_t) {
+            // About 20 us of work, so helpers can take part.
+            const auto until = std::chrono::steady_clock::now() +
+                               std::chrono::microseconds(20);
+            while (std::chrono::steady_clock::now() < until) {
+            }
+        });
+    }
+    const auto count = [](const char *name) {
+        return telemetry::counter(name).value();
+    };
+    const auto &region = telemetry::histogram("parallel.region.ns");
+    const auto &used = telemetry::histogram("parallel.workers_used");
+    const double busyNs = double(count("parallel.worker_busy_ns"));
+    const double meanUsed =
+        used.count() ? double(used.sum()) / double(used.count()) : 0.0;
+    const double busyFrac = busyNs / (double(region.sum()) * meanUsed);
+    telemetry::setEnabled(false);
+
+    EXPECT_EQ(count("parallel.threads_spawned"), 0u);
+    // A region is one fanned-out call; every call is one or the other.
+    EXPECT_EQ(count("parallel.calls") + count("parallel.inline_calls"),
+              kCalls);
+    EXPECT_EQ(count("parallel.items"), kCalls * kItems);
+    ASSERT_GT(count("parallel.calls"), 0u);
+    EXPECT_EQ(region.count(), count("parallel.calls"));
+    EXPECT_EQ(used.count(), count("parallel.calls"));
+    EXPECT_GE(used.min(), 1u);
+    EXPECT_LE(used.max(), 4u);
+    // The share of the regions' thread time spent running items.
+    EXPECT_GT(busyFrac, 0.0);
+    EXPECT_LE(busyFrac, 1.0);
 }
 
 TEST(Parallel, EncryptedInferenceIsThreadCountInvariant)

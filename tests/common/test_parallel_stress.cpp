@@ -92,7 +92,7 @@ TEST_F(ParallelStress, ConcurrentRegistryLookupsYieldOneMetric)
     EXPECT_EQ(telemetry::histogram("stress.registry.hist").count(), 512u);
 }
 
-TEST_F(ParallelStress, NestedParallelForRunsInlineWithoutDeadlock)
+TEST_F(ParallelStress, NestedParallelForTerminatesWithoutDeadlock)
 {
     setThreadCount(4);
     std::atomic<std::uint64_t> total{0};

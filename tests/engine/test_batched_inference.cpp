@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "src/common/parallel.hpp"
 #include "src/engine/inference_engine.hpp"
 #include "src/hecnn/compiler.hpp"
 #include "src/hecnn/runtime.hpp"
@@ -149,6 +150,19 @@ TEST_F(BatchedInferenceTest, WorkerCountDoesNotChangeBatchedResults)
         InferenceEngine engine(plan, ctx_, opts);
         return engine.runBatch(batch);
     };
+    // submit() one request at a time with no accumulation window: each
+    // runs as a group of one, so the composition is fixed too.
+    auto submitEach = [&](unsigned workers) {
+        EngineOptions opts;
+        opts.workers = workers;
+        opts.keySeed = 13;
+        opts.batchWindowSeconds = 0.0;
+        InferenceEngine engine(plan, ctx_, opts);
+        std::vector<hecnn::InferOutcome> out;
+        for (const auto &input : batch)
+            out.push_back(engine.submit(input).get());
+        return out;
+    };
     const auto one = run(1);
     const auto four = run(4);
     ASSERT_EQ(one.size(), four.size());
@@ -158,6 +172,30 @@ TEST_F(BatchedInferenceTest, WorkerCountDoesNotChangeBatchedResults)
         EXPECT_EQ(one[r].logits, four[r].logits)
             << "request " << r << " depends on the worker count";
     }
+
+    // Across the thread budget the engine shares with its limb loops,
+    // and the worker count, on both entry points.
+    const unsigned savedBudget = threadCount();
+    std::vector<hecnn::InferOutcome> streamedRef;
+    for (const unsigned budget : {1u, 2u, 4u}) {
+        setThreadCount(budget);
+        for (const unsigned workers : {1u, 3u}) {
+            const auto batched = run(workers);
+            const auto streamed = submitEach(workers);
+            if (streamedRef.empty())
+                streamedRef = streamed;
+            for (std::size_t r = 0; r < one.size(); ++r) {
+                ASSERT_FALSE(streamed[r].degraded());
+                EXPECT_EQ(batched[r].logits, one[r].logits)
+                    << "runBatch request " << r << " at budget "
+                    << budget << ", " << workers << " workers";
+                EXPECT_EQ(streamed[r].logits, streamedRef[r].logits)
+                    << "submit request " << r << " at budget " << budget
+                    << ", " << workers << " workers";
+            }
+        }
+    }
+    setThreadCount(savedBudget);
 }
 
 TEST_F(BatchedInferenceTest, FpgaSimBackendIsBitwiseIdenticalToCpu)

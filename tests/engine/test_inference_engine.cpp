@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/parallel.hpp"
 #include "src/engine/inference_engine.hpp"
 #include "src/hecnn/compiler.hpp"
 #include "src/hecnn/runtime.hpp"
@@ -91,6 +92,35 @@ TEST_F(InferenceEngineTest, WorkerCountDoesNotChangeResults)
         EXPECT_EQ(serialOut[r].logits, parallelOut[r].logits)
             << "request " << r << " depends on the worker count";
     }
+
+    // Neither the thread budget the engine shares with its limb loops
+    // nor the worker count reaches the logits, on either entry point.
+    const unsigned savedBudget = threadCount();
+    for (const unsigned budget : {1u, 2u, 4u}) {
+        setThreadCount(budget);
+        for (const unsigned workers : {1u, 3u}) {
+            EngineOptions opts;
+            opts.workers = workers;
+            opts.keySeed = 23;
+            InferenceEngine batchEngine(plan_, ctx_, opts);
+            const auto batchOut = batchEngine.runBatch(batch);
+            InferenceEngine streamEngine(plan_, ctx_, opts);
+            std::vector<std::future<hecnn::InferOutcome>> futures;
+            for (const auto &input : batch)
+                futures.push_back(streamEngine.submit(input));
+            for (std::size_t r = 0; r < kRequests; ++r) {
+                const auto streamed = futures[r].get();
+                ASSERT_FALSE(streamed.degraded());
+                EXPECT_EQ(batchOut[r].logits, serialOut[r].logits)
+                    << "runBatch request " << r << " at budget "
+                    << budget << ", " << workers << " workers";
+                EXPECT_EQ(streamed.logits, serialOut[r].logits)
+                    << "submit request " << r << " at budget " << budget
+                    << ", " << workers << " workers";
+            }
+        }
+    }
+    setThreadCount(savedBudget);
 }
 
 TEST_F(InferenceEngineTest, MalformedRequestDegradesAlone)

@@ -148,6 +148,38 @@ TEST(Modulus, ReduceSignedHandlesNegatives)
               static_cast<std::uint64_t>(big % 97));
 }
 
+TEST(Modulus, ReduceSignedMatchesTheRemainder)
+{
+    // reduceSigned() reduces the magnitude without a 128-bit division;
+    // its residues must be those of x % q on both sides of zero, for
+    // 64-bit values (coefficients and noise) and full 128-bit ones.
+    Rng rng(4242);
+    for (const std::uint64_t prime :
+         {97ull, 1073741789ull, (1ull << 36) - 5, (1ull << 59) - 55}) {
+        const Modulus q(prime);
+        const auto expect = [&](__int128 x) {
+            __int128 r = x % static_cast<__int128>(prime);
+            return static_cast<std::uint64_t>(r < 0 ? r + prime : r);
+        };
+        for (int i = 0; i < 2000; ++i) {
+            const auto small = static_cast<std::int64_t>(rng.next());
+            const __int128 wide =
+                static_cast<__int128>(
+                    (static_cast<unsigned __int128>(rng.next()) << 64) |
+                    rng.next());
+            EXPECT_EQ(q.reduceSigned(small), expect(small));
+            EXPECT_EQ(q.reduceSigned(wide), expect(wide));
+        }
+        const __int128 min128 = static_cast<__int128>(
+            static_cast<unsigned __int128>(1) << 127);
+        for (const __int128 x :
+             {__int128{0}, __int128{-1}, static_cast<__int128>(prime),
+              -static_cast<__int128>(prime), min128, min128 + 1,
+              -(min128 + 1)})
+            EXPECT_EQ(q.reduceSigned(x), expect(x));
+    }
+}
+
 TEST(Modulus, ToCenteredRoundTrips)
 {
     const Modulus q(101);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 
 #include "src/ckks/context.hpp"
@@ -235,6 +236,17 @@ TEST(RnsPolyDomains, NttDomainModDownAndRescaleMatchCoefficientDomain)
                 EXPECT_TRUE(got == want)
                     << "ModDown bits=" << bits << " level=" << level
                     << " @" << simd::levelName(simdLevel);
+                // One batch over both domains gives each the bytes of
+                // its own single call.
+                RnsPoly batchN = ext;
+                batchN.toNtt();
+                RnsPoly batchC = ext;
+                const std::array<RnsPoly *, 2> pair{&batchN, &batchC};
+                batchModDownSpecial(pair);
+                batchC.toNtt();
+                EXPECT_TRUE(batchN == want && batchC == want)
+                    << "batched ModDown bits=" << bits
+                    << " level=" << level;
                 if (level < 2)
                     continue;
                 RnsPoly poly(basis, level, false, PolyDomain::coeff);
@@ -248,6 +260,15 @@ TEST(RnsPolyDomains, NttDomainModDownAndRescaleMatchCoefficientDomain)
                 EXPECT_TRUE(gotR == wantR)
                     << "rescale bits=" << bits << " level=" << level
                     << " @" << simd::levelName(simdLevel);
+                RnsPoly batchRN = poly;
+                batchRN.toNtt();
+                RnsPoly batchRC = poly;
+                const std::array<RnsPoly *, 2> pairR{&batchRN, &batchRC};
+                batchRescaleLastPrime(pairR);
+                batchRC.toNtt();
+                EXPECT_TRUE(batchRN == wantR && batchRC == wantR)
+                    << "batched rescale bits=" << bits
+                    << " level=" << level;
             }
         }
     }
