@@ -30,7 +30,6 @@
 #include "src/ckks/evaluator.hpp"
 #include "src/ckks/keygen.hpp"
 #include "src/common/rng.hpp"
-#include "src/dse/sim_backend_install.hpp"
 #include "src/hecnn/backend.hpp"
 #include "src/hecnn/compiler.hpp"
 #include "src/hecnn/runtime.hpp"
@@ -359,7 +358,6 @@ main(int argc, char **argv)
     // check_bench_regression.py compares these against the committed
     // baseline and refuses to gate a run taken under a different
     // backend or SIMD level — those means are not comparable.
-    fxhenn::dse::installFpgaSimBackend();
     const std::string backendName =
         fxhenn::hecnn::resolveBackendName("");
     fxhenn::telemetry::counter("bench.backend." + backendName).add(1);

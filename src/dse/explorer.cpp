@@ -7,6 +7,7 @@
 
 #include "src/hecnn/liveness.hpp"
 #include "src/common/assert.hpp"
+#include "src/common/table_printer.hpp"
 #include "src/fpga/pipeline_sim.hpp"
 #include "src/hecnn/noise_cert.hpp"
 #include "src/robustness/fault_injection.hpp"
@@ -197,7 +198,7 @@ explore(const hecnn::HeNetworkPlan &plan, const fpga::DeviceSpec &device,
     if (options.replaySim && result.best) {
         // Close the loop on the winner: the closed forms the search
         // ranked points by, checked against the event-driven schedule
-        // the fpga-sim backend will actually charge.
+        // of the same point.
         result.simReplay.reserve(plan.layers.size());
         for (std::size_t i = 0; i < plan.layers.size(); ++i) {
             ReplayRow row;
@@ -215,6 +216,98 @@ explore(const hecnn::HeNetworkPlan &plan, const fpga::DeviceSpec &device,
         }
     }
     return result;
+}
+
+namespace {
+
+/** The first row with the largest error; null when every error is 0. */
+const ReplayRow *
+worstRow(const std::vector<ReplayRow> &rows)
+{
+    const ReplayRow *worst = nullptr;
+    for (const auto &row : rows) {
+        if (row.errorFrac > (worst ? worst->errorFrac : 0.0))
+            worst = &row;
+    }
+    return worst;
+}
+
+double
+maxErrorFrac(const std::vector<ReplayRow> &rows)
+{
+    const ReplayRow *worst = worstRow(rows);
+    return worst ? worst->errorFrac : 0.0;
+}
+
+} // namespace
+
+std::string
+renderReplayLatency(const std::vector<ReplayRow> &rows,
+                    const fpga::DeviceSpec &device)
+{
+    TablePrinter table({"Layer", "Predicted (ms)", "Simulated (ms)",
+                        "Error (%)"});
+    double predicted = 0.0;
+    double simulated = 0.0;
+    for (const auto &row : rows) {
+        const double predictedSeconds =
+            device.seconds(row.predictedCycles);
+        const double simulatedSeconds =
+            device.seconds(row.simulatedCycles);
+        predicted += predictedSeconds;
+        simulated += simulatedSeconds;
+        table.addRow({row.layer, fmtF(predictedSeconds * 1e3, 3),
+                      fmtF(simulatedSeconds * 1e3, 3),
+                      fmtF(row.errorFrac * 100.0, 2)});
+    }
+    table.addSeparator();
+    const double totalErr =
+        predicted > 0.0
+            ? std::abs(simulated - predicted) / predicted
+            : 0.0;
+    table.addRow({"total", fmtF(predicted * 1e3, 3),
+                  fmtF(simulated * 1e3, 3),
+                  fmtF(totalErr * 100.0, 2)});
+    std::ostringstream oss;
+    oss << "predicted-vs-simulated latency (backend fpga-sim):\n";
+    table.print(oss);
+    oss << "max per-layer prediction error "
+        << 100.0 * maxErrorFrac(rows) << " %\n";
+    return oss.str();
+}
+
+std::string
+renderReplayCycles(const std::vector<ReplayRow> &rows)
+{
+    std::ostringstream oss;
+    oss << "  replay   predicted-vs-simulated cycles "
+           "(fpga-sim backend):\n";
+    for (const auto &row : rows) {
+        oss << "           " << row.layer << ": predicted "
+            << row.predictedCycles << ", simulated "
+            << row.simulatedCycles << " (" << 100.0 * row.errorFrac
+            << " % error)\n";
+    }
+    oss << "           max prediction error "
+        << 100.0 * maxErrorFrac(rows) << " %\n";
+    return oss.str();
+}
+
+std::optional<robustness::FailureReport>
+replayWarning(const std::vector<ReplayRow> &rows)
+{
+    const ReplayRow *worst = worstRow(rows);
+    if (worst == nullptr || worst->errorFrac <= kReplayToleranceFrac)
+        return std::nullopt;
+    robustness::FailureReport report;
+    report.layer = "backend";
+    report.op = "latency";
+    report.reason = "simulated latency of layer '" + worst->layer +
+                    "' diverges from the DSE prediction by " +
+                    fmtBits(worst->errorFrac * 100.0) +
+                    "% (tolerance " +
+                    fmtBits(kReplayToleranceFrac * 100.0) + "%)";
+    return report;
 }
 
 } // namespace fxhenn::dse

@@ -19,10 +19,12 @@
 #define FXHENN_DSE_EXPLORER_HPP
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/fpga/device.hpp"
 #include "src/fpga/layer_model.hpp"
+#include "src/robustness/guard.hpp"
 
 namespace fxhenn::dse {
 
@@ -66,12 +68,13 @@ struct ExploreOptions
 
     /**
      * Replay the winning design point through the event-driven
-     * pipeline simulator (fpga/pipeline_sim — the arithmetic core of
-     * the "fpga-sim" execution backend) and report the per-layer
+     * pipeline simulator (fpga/pipeline_sim) and report the per-layer
      * predicted-vs-simulated cycle error in ExploreResult::simReplay.
-     * This is the DSE half of the predicted-vs-measured latency loop:
-     * the closed forms the search minimized are checked against the
-     * schedule an executed run would actually be charged.
+     * This is the predicted-vs-measured latency loop: the closed forms
+     * the search minimized are checked against the schedule of the
+     * point it chose. Both depend only on the plan and the design
+     * point, so the replay is the per-layer latency of the "fpga-sim"
+     * backend for every request of the plan.
      */
     bool replaySim = false;
 
@@ -125,6 +128,36 @@ struct ExploreResult
 ExploreResult explore(const hecnn::HeNetworkPlan &plan,
                       const fpga::DeviceSpec &device,
                       const ExploreOptions &options = {});
+
+/**
+ * Per-layer replay error beyond which replayWarning() reports: the
+ * ±25 % agreement the pipeline-sim tests pin, with headroom for small
+ * layers.
+ */
+inline constexpr double kReplayToleranceFrac = 0.5;
+
+/**
+ * The predicted-vs-simulated latency table of a replay, in
+ * milliseconds at @p device's clock, with its max per-layer error:
+ * what `fxhenn verify --backend fpga-sim` prints.
+ */
+std::string renderReplayLatency(const std::vector<ReplayRow> &rows,
+                                const fpga::DeviceSpec &device);
+
+/** The per-layer replay cycles `fxhenn design --backend fpga-sim`
+ * prints. */
+std::string renderReplayCycles(const std::vector<ReplayRow> &rows);
+
+/**
+ * Warn-level classification of a replay: a report (layer "backend",
+ * op "latency") naming the worst layer when its error exceeds
+ * kReplayToleranceFrac, nullopt otherwise. A divergent layer means
+ * the closed-form model and the event-driven schedule disagree, which
+ * is a performance-model bug to investigate, never a failed
+ * inference.
+ */
+std::optional<robustness::FailureReport> replayWarning(
+    const std::vector<ReplayRow> &rows);
 
 } // namespace fxhenn::dse
 

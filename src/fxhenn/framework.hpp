@@ -41,7 +41,7 @@ struct DesignSolution
 
     // Copied from ExploreResult when ExploreOptions::replaySim ran:
     // the winner's closed-form prediction checked against the
-    // event-driven pipeline schedule (the fpga-sim backend's charge).
+    // event-driven pipeline schedule (the fpga-sim backend's latency).
     std::vector<dse::ReplayRow> simReplay;
     double simReplayMaxErrorFrac = 0.0;
 

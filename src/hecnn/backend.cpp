@@ -1,278 +1,10 @@
 #include "src/hecnn/backend.hpp"
 
-#include <algorithm>
 #include <cstdlib>
-#include <map>
-#include <mutex>
-#include <sstream>
 
 #include "src/common/assert.hpp"
-#include "src/modarith/simd_dispatch.hpp"
-#include "src/telemetry/telemetry.hpp"
 
 namespace fxhenn::hecnn {
-
-namespace {
-
-/**
- * The host-CPU op path: a per-run Evaluator plus the evaluation keys
- * borrowed from the run context. This is the bitwise reference every
- * other backend is tested against, and the delegation target of
- * accounting-only backends (makeCpuBackendRun()).
- */
-class CpuBackendRun : public BackendRun
-{
-  public:
-    explicit CpuBackendRun(const BackendRunContext &ctx)
-        : evaluator_(*ctx.context, ctx.kswMode), relin_(ctx.relin),
-          galois_(ctx.galois)
-    {}
-
-    ckks::Ciphertext
-    mulPlain(const ckks::Ciphertext &a, const ckks::Plaintext &p)
-        override
-    {
-        FXHENN_TELEM_COUNT("backend.dispatches", 1);
-        return evaluator_.mulPlain(a, p);
-    }
-
-    ckks::Ciphertext
-    addPlain(const ckks::Ciphertext &a, const ckks::Plaintext &p)
-        override
-    {
-        FXHENN_TELEM_COUNT("backend.dispatches", 1);
-        return evaluator_.addPlain(a, p);
-    }
-
-    void
-    addInplace(ckks::Ciphertext &dst, const ckks::Ciphertext &src)
-        override
-    {
-        FXHENN_TELEM_COUNT("backend.dispatches", 1);
-        evaluator_.addInplace(dst, src);
-    }
-
-    ckks::Ciphertext
-    mulNoRelin(const ckks::Ciphertext &a, const ckks::Ciphertext &b)
-        override
-    {
-        FXHENN_TELEM_COUNT("backend.dispatches", 1);
-        return evaluator_.mulNoRelin(a, b);
-    }
-
-    ckks::Ciphertext
-    relinearize(const ckks::Ciphertext &a) override
-    {
-        FXHENN_TELEM_COUNT("backend.dispatches", 1);
-        return evaluator_.relinearize(a, *relin_);
-    }
-
-    ckks::Ciphertext
-    rescale(const ckks::Ciphertext &a) override
-    {
-        FXHENN_TELEM_COUNT("backend.dispatches", 1);
-        return evaluator_.rescale(a);
-    }
-
-    void
-    rescaleInplace(ckks::Ciphertext &a) override
-    {
-        FXHENN_TELEM_COUNT("backend.dispatches", 1);
-        evaluator_.rescaleInplace(a);
-    }
-
-    ckks::Ciphertext
-    rotate(const ckks::Ciphertext &a, int step) override
-    {
-        FXHENN_TELEM_COUNT("backend.dispatches", 1);
-        return evaluator_.rotate(a, step, *galois_);
-    }
-
-    std::vector<ckks::Ciphertext>
-    rotateHoisted(const ckks::Ciphertext &a,
-                  const std::vector<int> &steps) override
-    {
-        FXHENN_TELEM_COUNT("backend.dispatches", 1);
-        return evaluator_.rotateHoisted(a, steps, *galois_);
-    }
-
-    const ckks::OpCounts &
-    counts() const override
-    {
-        return evaluator_.counts();
-    }
-
-  private:
-    ckks::Evaluator evaluator_;
-    const ckks::RelinKey *relin_;
-    const ckks::GaloisKeys *galois_;
-};
-
-class CpuBackend : public ExecutionBackend
-{
-  public:
-    const std::string &
-    name() const override
-    {
-        static const std::string kName = "cpu";
-        return kName;
-    }
-
-    std::unique_ptr<BackendRun>
-    beginRun(const BackendRunContext &ctx) const override
-    {
-        return std::make_unique<CpuBackendRun>(ctx);
-    }
-};
-
-/**
- * Differential-debugging reference: eager keyswitch reduction and
- * scalar kernels, regardless of what ExecOptions or FXHENN_SIMD asked
- * for. The scalar pin is process-global (the SIMD dispatch table is
- * one per process) and held for the backend instance's lifetime;
- * concurrent runs on other backends only slow down — all kernel
- * levels are bitwise identical, so results are unaffected.
- */
-class CpuRefBackend : public ExecutionBackend
-{
-  public:
-    const std::string &
-    name() const override
-    {
-        static const std::string kName = "cpu-ref";
-        return kName;
-    }
-
-    std::unique_ptr<BackendRun>
-    beginRun(const BackendRunContext &ctx) const override
-    {
-        BackendRunContext eager = ctx;
-        eager.kswMode = ckks::KswMode::eager;
-        return std::make_unique<CpuBackendRun>(eager);
-    }
-
-  private:
-    simd::ScopedLevel pin_{simd::Level::scalar};
-};
-
-struct Registry
-{
-    std::mutex mutex;
-    std::map<std::string, BackendFactory> factories;
-};
-
-Registry &
-registry()
-{
-    static Registry *instance = [] {
-        auto *r = new Registry;
-        r->factories.emplace("cpu", [] {
-            return std::make_unique<CpuBackend>();
-        });
-        r->factories.emplace("cpu-ref", [] {
-            return std::make_unique<CpuRefBackend>();
-        });
-        return r;
-    }();
-    return *instance;
-}
-
-bool
-builtinName(const std::string &name)
-{
-    return name == "cpu" || name == "cpu-ref";
-}
-
-std::string
-knownNames(const Registry &reg)
-{
-    std::ostringstream oss;
-    bool first = true;
-    for (const auto &[key, factory] : reg.factories) {
-        (void)factory;
-        oss << (first ? "" : ", ") << key;
-        first = false;
-    }
-    return oss.str();
-}
-
-} // namespace
-
-std::unique_ptr<BackendRun>
-makeCpuBackendRun(const BackendRunContext &ctx)
-{
-    return std::make_unique<CpuBackendRun>(ctx);
-}
-
-bool
-registerBackend(const std::string &name, BackendFactory factory)
-{
-    FXHENN_FATAL_IF(name.empty(),
-                    "execution-backend name must not be empty");
-    FXHENN_FATAL_IF(!factory,
-                    "execution backend '" + name +
-                        "' registered without a factory");
-    auto &reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    return reg.factories.emplace(name, std::move(factory)).second;
-}
-
-bool
-unregisterBackend(const std::string &name)
-{
-    if (builtinName(name))
-        return false;
-    auto &reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    return reg.factories.erase(name) > 0;
-}
-
-bool
-backendRegistered(const std::string &name)
-{
-    auto &reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    return reg.factories.count(name) > 0;
-}
-
-std::vector<std::string>
-registeredBackendNames()
-{
-    auto &reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    std::vector<std::string> names;
-    names.reserve(reg.factories.size());
-    for (const auto &[key, factory] : reg.factories) {
-        (void)factory;
-        names.push_back(key);
-    }
-    return names; // std::map iterates sorted
-}
-
-std::unique_ptr<ExecutionBackend>
-createBackend(const std::string &name)
-{
-    BackendFactory factory;
-    {
-        auto &reg = registry();
-        std::lock_guard<std::mutex> lock(reg.mutex);
-        auto it = reg.factories.find(name);
-        FXHENN_FATAL_IF(it == reg.factories.end(),
-                        "unknown execution backend '" + name +
-                            "' (registered: " + knownNames(reg) + ")");
-        factory = it->second;
-    }
-    auto backend = factory();
-    FXHENN_PANIC_IF(!backend, "backend factory for '" + name +
-                                  "' returned null");
-    FXHENN_PANIC_IF(backend->name() != name,
-                    "backend factory for '" + name +
-                        "' built a backend named '" + backend->name() +
-                        "'");
-    if (telemetry::enabled())
-        telemetry::counter("backend.name." + name).add(1);
-    return backend;
-}
 
 std::string
 resolveBackendName(const std::string &requested)
@@ -285,13 +17,10 @@ resolveBackendName(const std::string &requested)
     }
     if (name.empty())
         name = "cpu";
-    {
-        auto &reg = registry();
-        std::lock_guard<std::mutex> lock(reg.mutex);
-        FXHENN_FATAL_IF(reg.factories.count(name) == 0,
-                        "unknown execution backend '" + name +
-                            "' (registered: " + knownNames(reg) + ")");
-    }
+    FXHENN_FATAL_IF(name != "cpu" && name != "cpu-ref" &&
+                        name != "fpga-sim",
+                    "unknown execution backend '" + name +
+                        "' (registered: cpu, cpu-ref, fpga-sim)");
     return name;
 }
 

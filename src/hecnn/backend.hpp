@@ -1,220 +1,42 @@
 /**
  * @file
- * Pluggable execution backends for the plan interpreter.
+ * The execution-backend names of the plan interpreter.
  *
- * PlanExecutor never calls ckks::Evaluator directly any more: every HE
- * operation of a run goes through a BackendRun obtained from an
- * ExecutionBackend, and backends are looked up by name in a process-wide
- * registry (name -> factory, first installation wins — the same hook
- * discipline as plan_check.hpp's setPlanVerifier()). This is the
- * one-interface/many-targets seam that lets the same compiled plan run
- * on the host CPU path or on the cycle-approximate FPGA pipeline
- * simulator, and later on real accelerator targets (ROADMAP item 4).
+ * One PlanExecutor runs every plan through a per-run ckks::Evaluator;
+ * the backend name only picks how:
  *
- * Built-in backends (registered by this library itself):
- *
- *  - "cpu": the reference path — a per-run ckks::Evaluator using the
- *    executor's KswMode and whatever SIMD level FXHENN_SIMD resolved.
- *    Every other backend must be bitwise identical to it.
- *  - "cpu-ref": differential-debugging path — forces KswMode::eager
- *    and pins the scalar modular-arithmetic kernels for the lifetime
- *    of the backend instance. The pin is process-global (the SIMD
- *    dispatch table is), which is safe because all kernel levels are
- *    bitwise identical; only timing changes for concurrent runs.
- *
- * "fpga-sim" is NOT registered here: it lives in src/fpga (mechanics)
- * and src/dse (design-point resolution) because fxhenn_hecnn sits
- * below both in the link graph. Binaries wanting it call
- * dse::installFpgaSimBackend() at startup, exactly like
- * analysis::installPlanVerifier().
+ *  - "cpu": the reference path — lazy keyswitching under whatever SIMD
+ *    level FXHENN_SIMD resolved. Every other name must decrypt
+ *    bitwise identical to it.
+ *  - "cpu-ref": differential-debugging path — eager keyswitching, and
+ *    the scalar modular-arithmetic kernels pinned for the lifetime of
+ *    the executor. The pin is process-global (the SIMD dispatch table
+ *    is), which is safe because all kernel levels are bitwise
+ *    identical; only timing changes for concurrent runs.
+ *  - "fpga-sim": the cpu arithmetic. Its per-layer latency is the DSE
+ *    replay of the plan (dse::ExploreOptions::replaySim), which the
+ *    CLI prints for verify, batch and design.
  *
  * Selection contract (mirrors FXHENN_SIMD): an explicit name (CLI
  * --backend / ExecOptions::backend) wins; otherwise the FXHENN_BACKEND
  * environment variable; otherwise "cpu". An unknown name throws
- * ConfigError (CLI exit code 3) listing the registered names. Creating
- * a backend publishes the "backend.name.<name>" telemetry counter;
- * every dispatched op counts "backend.dispatches".
+ * ConfigError (CLI exit code 3) listing the three names.
  */
 #ifndef FXHENN_HECNN_BACKEND_HPP
 #define FXHENN_HECNN_BACKEND_HPP
 
-#include <functional>
-#include <memory>
 #include <string>
-#include <vector>
-
-#include "src/ckks/context.hpp"
-#include "src/ckks/evaluator.hpp"
-#include "src/ckks/keys.hpp"
-#include "src/hecnn/plan.hpp"
 
 namespace fxhenn::hecnn {
 
 /**
- * One per-layer row of a simulated-latency timeline. Backends that
- * model hardware (simulatesLatency()) fill one row per executed layer;
- * the cpu paths return an empty timeline.
- */
-struct SimLayerLatency
-{
-    std::string layer;
-    /** Event-driven simulated cost of the layer's executed ops. */
-    double simulatedCycles = 0.0;
-    double simulatedSeconds = 0.0;
-    /** Closed-form (Eq. 1-10) prediction at the same design point —
-     * what dse::Explorer minimized. */
-    double predictedCycles = 0.0;
-    double predictedSeconds = 0.0;
-
-    /** |simulated - predicted| / predicted (0 when nothing was
-     * predicted). */
-    double
-    errorFrac() const
-    {
-        if (predictedCycles <= 0.0)
-            return 0.0;
-        const double d = simulatedCycles - predictedCycles;
-        return (d < 0.0 ? -d : d) / predictedCycles;
-    }
-};
-
-/** Everything a backend needs to start one run. All pointers borrow
- * state owned by the PlanExecutor and outlive the run. */
-struct BackendRunContext
-{
-    const HeNetworkPlan *plan = nullptr;
-    const ckks::CkksContext *context = nullptr;
-    const ckks::RelinKey *relin = nullptr;
-    const ckks::GaloisKeys *galois = nullptr;
-    /** Keyswitch strategy requested by ExecOptions (backends may
-     * override it — cpu-ref forces eager). */
-    ckks::KswMode kswMode = ckks::KswMode::lazy;
-};
-
-/**
- * The per-request op interface the plan interpreter dispatches
- * through. One BackendRun serves exactly one execute() call and is
- * never shared between threads; distinct runs of the same backend may
- * be concurrent. Semantics of every op match ckks::Evaluator's method
- * of the same name — results must be bitwise identical to the "cpu"
- * backend for identical inputs.
- */
-class BackendRun
-{
-  public:
-    virtual ~BackendRun() = default;
-
-    virtual ckks::Ciphertext mulPlain(const ckks::Ciphertext &a,
-                                      const ckks::Plaintext &p) = 0;
-    virtual ckks::Ciphertext addPlain(const ckks::Ciphertext &a,
-                                      const ckks::Plaintext &p) = 0;
-    virtual void addInplace(ckks::Ciphertext &dst,
-                            const ckks::Ciphertext &src) = 0;
-    virtual ckks::Ciphertext mulNoRelin(const ckks::Ciphertext &a,
-                                        const ckks::Ciphertext &b) = 0;
-    virtual ckks::Ciphertext relinearize(const ckks::Ciphertext &a) = 0;
-    virtual ckks::Ciphertext rescale(const ckks::Ciphertext &a) = 0;
-    virtual void rescaleInplace(ckks::Ciphertext &a) = 0;
-    virtual ckks::Ciphertext rotate(const ckks::Ciphertext &a,
-                                    int step) = 0;
-    /** Hoisted rotation group: one shared digit decomposition. */
-    virtual std::vector<ckks::Ciphertext> rotateHoisted(
-        const ckks::Ciphertext &a, const std::vector<int> &steps) = 0;
-
-    /** Executed-op counters accumulated over this run. */
-    virtual const ckks::OpCounts &counts() const = 0;
-
-    /** Layer-boundary hooks (the simulator's charging points). */
-    virtual void
-    beginLayer(const HeLayerPlan &layer)
-    {
-        (void)layer;
-    }
-    virtual void
-    endLayer(const HeLayerPlan &layer)
-    {
-        (void)layer;
-    }
-
-    /** Per-layer simulated-latency rows accumulated so far; empty for
-     * backends that do not model hardware. */
-    virtual std::vector<SimLayerLatency>
-    timeline() const
-    {
-        return {};
-    }
-};
-
-/** A named execution target. Instances are created per PlanExecutor
- * through the registry and must be safe to beginRun() concurrently. */
-class ExecutionBackend
-{
-  public:
-    virtual ~ExecutionBackend() = default;
-
-    /** Registry name ("cpu", "cpu-ref", "fpga-sim", ...). */
-    virtual const std::string &name() const = 0;
-
-    /** Start one run. Called once per execute(); may be concurrent. */
-    virtual std::unique_ptr<BackendRun> beginRun(
-        const BackendRunContext &ctx) const = 0;
-
-    /** True when runs charge a simulated-latency timeline. */
-    virtual bool
-    simulatesLatency() const
-    {
-        return false;
-    }
-};
-
-using BackendFactory =
-    std::function<std::unique_ptr<ExecutionBackend>()>;
-
-/**
- * Register @p factory under @p name. The first installation wins;
- * a later call with an already-registered name is ignored and returns
- * false (parity with setPlanVerifier()), so tests cannot silently
- * displace a production backend. Thread-safe.
- */
-bool registerBackend(const std::string &name, BackendFactory factory);
-
-/**
- * Test seam: remove a registered backend. The built-in names ("cpu",
- * "cpu-ref") are refused — returns false and leaves them installed.
- */
-bool unregisterBackend(const std::string &name);
-
-/** @return true when @p name is registered. */
-bool backendRegistered(const std::string &name);
-
-/** Registered names, sorted (the ConfigError candidate list). */
-std::vector<std::string> registeredBackendNames();
-
-/**
- * Instantiate the backend registered under @p name. Throws ConfigError
- * listing the registered names when @p name is unknown. Publishes the
- * "backend.name.<name>" telemetry counter.
- */
-std::unique_ptr<ExecutionBackend> createBackend(
-    const std::string &name);
-
-/**
  * The selection rule shared by the CLI, the executor and the benches:
  * @p requested (non-empty) wins, else the FXHENN_BACKEND environment
- * variable, else "cpu". The resolved name must be registered — an
- * unknown name throws ConfigError (CLI exit code 3), so resolve once
- * up front, before any work runs.
+ * variable, else "cpu". The resolved name must be one of "cpu",
+ * "cpu-ref" and "fpga-sim" — an unknown name throws ConfigError (CLI
+ * exit code 3), so resolve once up front, before any work runs.
  */
 std::string resolveBackendName(const std::string &requested = "");
-
-/**
- * The "cpu" op implementation as a building block: a run wrapping a
- * fresh ckks::Evaluator(ctx.context, ctx.kswMode). Backends that only
- * change accounting (fpga-sim) delegate their arithmetic here so
- * bitwise identity with "cpu" holds by construction.
- */
-std::unique_ptr<BackendRun> makeCpuBackendRun(
-    const BackendRunContext &ctx);
 
 } // namespace fxhenn::hecnn
 

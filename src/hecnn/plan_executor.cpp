@@ -4,6 +4,7 @@
 
 #include "src/common/assert.hpp"
 #include "src/common/timer.hpp"
+#include "src/hecnn/backend.hpp"
 #include "src/hecnn/rotation_groups.hpp"
 #include "src/robustness/fault_injection.hpp"
 #include "src/telemetry/telemetry.hpp"
@@ -32,13 +33,16 @@ PlanExecutor::PlanExecutor(const HeNetworkPlan &plan,
                            ExecOptions exec)
     : plan_(plan), context_(context), relin_(relin), galois_(galois),
       pool_(pool), encoder_(context), guardOptions_(guard),
-      execOptions_(exec),
-      backend_(createBackend(resolveBackendName(exec.backend))),
+      execOptions_(exec), backendName_(resolveBackendName(exec.backend)),
+      kswMode_(backendName_ == "cpu-ref" ? ckks::KswMode::eager
+                                         : ckks::KswMode::lazy),
       prediction_(plan, context, guard)
 {
     FXHENN_FATAL_IF(plan.valuesElided,
                     "plan was compiled with elideValues=true and "
                     "cannot be executed");
+    if (backendName_ == "cpu-ref")
+        scalarPin_.emplace(simd::Level::scalar);
 }
 
 void
@@ -136,8 +140,8 @@ PlanExecutor::executeLayer(Run &run, std::size_t layerIndex) const
                 steps.push_back(member.step);
                 dsts.push_back(member.dst);
             }
-            auto rotated = run.ops->rotateHoisted(reg(instr.src),
-                                                  steps);
+            auto rotated = run.eval.rotateHoisted(reg(instr.src),
+                                                  steps, galois_);
             for (std::size_t m = 0; m < group.count; ++m)
                 regs[static_cast<std::size_t>(dsts[m])] =
                     std::move(rotated[m]);
@@ -149,7 +153,7 @@ PlanExecutor::executeLayer(Run &run, std::size_t layerIndex) const
           case HeOpKind::pcMult: {
             const auto &pt = pool_.at(instr.pt);
             regs[static_cast<std::size_t>(instr.dst)] =
-                run.ops->mulPlain(reg(instr.src), pt);
+                run.eval.mulPlain(reg(instr.src), pt);
             break;
           }
           case HeOpKind::pcAdd: {
@@ -161,33 +165,33 @@ PlanExecutor::executeLayer(Run &run, std::size_t layerIndex) const
                 std::span<const double>(pool.values), target.scale,
                 target.level());
             regs[static_cast<std::size_t>(instr.dst)] =
-                run.ops->addPlain(target, encoded);
+                run.eval.addPlain(target, encoded);
             break;
           }
           case HeOpKind::ccAdd:
-            run.ops->addInplace(reg(instr.dst), reg(instr.src));
+            run.eval.addInplace(reg(instr.dst), reg(instr.src));
             break;
           case HeOpKind::ccMult: {
             const ckks::Ciphertext &src = reg(instr.src);
             regs[static_cast<std::size_t>(instr.dst)] =
-                run.ops->mulNoRelin(src, src);
+                run.eval.mulNoRelin(src, src);
             break;
           }
           case HeOpKind::relinearize:
             regs[static_cast<std::size_t>(instr.dst)] =
-                run.ops->relinearize(reg(instr.src));
+                run.eval.relinearize(reg(instr.src), relin_);
             break;
           case HeOpKind::rescale:
             if (instr.dst == instr.src) {
-                run.ops->rescaleInplace(reg(instr.dst));
+                run.eval.rescaleInplace(reg(instr.dst));
             } else {
                 regs[static_cast<std::size_t>(instr.dst)] =
-                    run.ops->rescale(reg(instr.src));
+                    run.eval.rescale(reg(instr.src));
             }
             break;
           case HeOpKind::rotate:
             regs[static_cast<std::size_t>(instr.dst)] =
-                run.ops->rotate(reg(instr.src), instr.step);
+                run.eval.rotate(reg(instr.src), instr.step, galois_);
             break;
           case HeOpKind::copy:
             regs[static_cast<std::size_t>(instr.dst)] = reg(instr.src);
@@ -208,13 +212,7 @@ PlanExecutor::execute(std::vector<ckks::Ciphertext> inputs,
     FXHENN_TELEM_SCOPED_TIMER("hecnn.infer.ns");
     FXHENN_TELEM_COUNT("hecnn.inferences", 1);
 
-    BackendRunContext runCtx;
-    runCtx.plan = &plan_;
-    runCtx.context = &context_;
-    runCtx.relin = &relin_;
-    runCtx.galois = &galois_;
-    runCtx.kswMode = execOptions_.kswMode;
-    Run run{backend_->beginRun(runCtx), {}, {}, 0};
+    Run run{ckks::Evaluator(context_, kswMode_), {}, {}, 0};
     run.regs.resize(static_cast<std::size_t>(plan_.regCount));
     run.layerStats.reserve(plan_.layers.size());
     for (std::size_t i = 0; i < inputs.size(); ++i)
@@ -249,15 +247,13 @@ PlanExecutor::execute(std::vector<ckks::Ciphertext> inputs,
                     }
                 }
             }
-            const ckks::OpCounts before = run.ops->counts();
+            const ckks::OpCounts before = run.eval.counts();
             Timer timer;
-            run.ops->beginLayer(layer);
             executeLayer(run, li);
-            run.ops->endLayer(layer);
             MeasuredLayerStats row;
             row.name = layer.name;
             row.seconds = timer.elapsedSeconds();
-            const ckks::OpCounts &after = run.ops->counts();
+            const ckks::OpCounts &after = run.eval.counts();
             row.executed.ccAdd = after.ccAdd - before.ccAdd;
             row.executed.pcAdd = after.pcAdd - before.pcAdd;
             row.executed.pcMult = after.pcMult - before.pcMult;
@@ -293,9 +289,8 @@ PlanExecutor::execute(std::vector<ckks::Ciphertext> inputs,
             break;
     }
     out.budget = trajectory(run);
-    out.executed = run.ops->counts();
-    out.backendName = backend_->name();
-    out.simulated = run.ops->timeline();
+    out.executed = run.eval.counts();
+    out.backendName = backendName_;
     out.layerStats = std::move(run.layerStats);
     out.regs = std::move(run.regs);
     if (out.failure)

@@ -6,16 +6,14 @@
  * A PlanExecutor borrows everything it needs by const reference — the
  * compiled plan, the CKKS context, the relinearization/Galois keys and
  * the precomputed PlaintextPool — and keeps no per-request state in
- * the object: every execute() call starts its own backend run and
+ * the object: every execute() call starts its own ckks::Evaluator and
  * register file on the stack, and checks them against the guard
- * prediction computed once at construction. Every HE op dispatches
- * through the ExecutionBackend named in ExecOptions::backend
- * (src/hecnn/backend.hpp), so the same interpreter drives the host CPU
- * path and the cycle-approximate FPGA pipeline simulator unchanged. One
- * executor therefore serves any number of concurrent requests (the
- * InferenceEngine's worker pool), and the FxHENN verification loop
- * (Sec. VII) gets the plan-interpreter half without dragging in the
- * client role.
+ * prediction computed once at construction. The backend name in
+ * ExecOptions::backend (src/hecnn/backend.hpp) picks the keyswitch
+ * strategy and SIMD pin of those evaluators. One executor therefore
+ * serves any number of concurrent requests (the InferenceEngine's
+ * worker pool), and the FxHENN verification loop (Sec. VII) gets the
+ * plan-interpreter half without dragging in the client role.
  */
 #ifndef FXHENN_HECNN_PLAN_EXECUTOR_HPP
 #define FXHENN_HECNN_PLAN_EXECUTOR_HPP
@@ -23,7 +21,6 @@
 #include <chrono>
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -32,11 +29,11 @@
 #include "src/ckks/encoder.hpp"
 #include "src/ckks/evaluator.hpp"
 #include "src/ckks/keys.hpp"
-#include "src/hecnn/backend.hpp"
 #include "src/hecnn/guard.hpp"
 #include "src/hecnn/plaintext_pool.hpp"
 #include "src/hecnn/plan.hpp"
 #include "src/hecnn/stats.hpp"
+#include "src/modarith/simd_dispatch.hpp"
 #include "src/robustness/guard.hpp"
 
 namespace fxhenn::hecnn {
@@ -51,14 +48,13 @@ struct ExecOptions
      * hoisted paths share the same decompose-then-permute core.
      */
     bool hoistRotations = true;
-    /** Keyswitch reduction strategy for the per-run evaluators. */
-    ckks::KswMode kswMode = ckks::KswMode::lazy;
     /**
-     * Execution backend every HE op of this executor dispatches
-     * through, by registry name ("cpu", "cpu-ref", "fpga-sim", ...).
-     * Empty resolves the FXHENN_BACKEND environment variable and
-     * falls back to "cpu" (hecnn::resolveBackendName()); an unknown
-     * name is a ConfigError at executor construction.
+     * Execution backend of this executor: "cpu", "cpu-ref" (eager
+     * keyswitching, scalar kernels) or "fpga-sim" (see
+     * src/hecnn/backend.hpp). Empty resolves the FXHENN_BACKEND
+     * environment variable and falls back to "cpu"
+     * (hecnn::resolveBackendName()); an unknown name is a ConfigError
+     * at executor construction.
      */
     std::string backend;
 };
@@ -100,15 +96,10 @@ struct ExecutionResult
     std::vector<std::optional<ckks::Ciphertext>> regs;
     /** Wall time + executed-op breakdown per layer. */
     std::vector<MeasuredLayerStats> layerStats;
-    /** Backend op counters accumulated over the run. */
+    /** Evaluator op counters accumulated over the run. */
     ckks::OpCounts executed;
-    /** Registry name of the backend that ran the request. */
+    /** Name of the backend that ran the request. */
     std::string backendName;
-    /**
-     * Per-layer simulated-latency timeline, one row per executed
-     * layer; empty unless the backend simulates hardware (fpga-sim).
-     */
-    std::vector<SimLayerLatency> simulated;
     /** Set when the run degraded (GuardPolicy::degrade). */
     std::optional<robustness::FailureReport> failure;
     /** Predicted per-layer noise-budget trajectory. */
@@ -150,9 +141,9 @@ class PlanExecutor
 
     const HeNetworkPlan &plan() const { return plan_; }
 
-    /** The execution backend every op of this executor runs through
-     * (resolved once at construction from ExecOptions::backend). */
-    const ExecutionBackend &backend() const { return *backend_; }
+    /** The backend name this executor runs under (resolved once at
+     * construction from ExecOptions::backend). */
+    const std::string &backendName() const { return backendName_; }
 
     /** What the guard expects of every run, computed at construction. */
     const GuardPrediction &prediction() const { return prediction_; }
@@ -161,7 +152,7 @@ class PlanExecutor
     /** Mutable state of one in-flight request, stack-allocated. */
     struct Run
     {
-        std::unique_ptr<BackendRun> ops;
+        ckks::Evaluator eval;
         std::vector<std::optional<ckks::Ciphertext>> regs;
         std::vector<MeasuredLayerStats> layerStats;
         /** Layers whose end check ran: the trajectory's prefix. */
@@ -188,7 +179,13 @@ class PlanExecutor
     ckks::Encoder encoder_; ///< re-entrant (bias encodes at run scale)
     robustness::GuardOptions guardOptions_;
     ExecOptions execOptions_;
-    std::unique_ptr<ExecutionBackend> backend_;
+    std::string backendName_;
+    /** Keyswitch strategy of the per-run evaluators (eager under
+     * "cpu-ref", lazy otherwise). */
+    ckks::KswMode kswMode_;
+    /** Scalar kernels, held for the executor's lifetime under
+     * "cpu-ref". */
+    std::optional<simd::ScopedLevel> scalarPin_;
     GuardPrediction prediction_;
 };
 

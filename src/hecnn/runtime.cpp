@@ -20,7 +20,6 @@ runOutcome(const ExecutionResult &result)
     out.budget = result.budget;
     out.backendName = result.backendName;
     out.opsExecuted = result.executed.total();
-    out.simulated = result.simulated;
     return out;
 }
 

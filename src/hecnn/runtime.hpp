@@ -42,30 +42,17 @@ struct InferOutcome
     std::optional<robustness::FailureReport> failure;
     /** Predicted per-layer noise-budget trajectory. */
     std::vector<robustness::BudgetSample> budget;
-    /** Registry name of the execution backend that ran the request. */
+    /** Name of the execution backend that ran the request. */
     std::string backendName;
-    /** HE ops the backend dispatched for this request. */
+    /** HE ops the executor ran for this request. */
     std::uint64_t opsExecuted = 0;
-    /** Per-layer simulated-latency timeline (empty unless the backend
-     * simulates hardware, e.g. "fpga-sim"). */
-    std::vector<SimLayerLatency> simulated;
 
     bool degraded() const { return failure.has_value(); }
-
-    /** Total simulated seconds across the timeline (0 when empty). */
-    double
-    simulatedSeconds() const
-    {
-        double total = 0.0;
-        for (const auto &row : simulated)
-            total += row.simulatedSeconds;
-        return total;
-    }
 };
 
 /**
  * The outcome fields of one executed run, shared by every member it
- * served: budget, backend, op count, simulated timeline and failure.
+ * served: budget, backend, op count and failure.
  * The caller decrypts the logits when there is no failure.
  */
 InferOutcome runOutcome(const ExecutionResult &result);

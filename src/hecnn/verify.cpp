@@ -24,41 +24,8 @@ VerifyResult::renderDiagnosis() const
         << fmtBits(predictedHeadroomBits) << " bits\n";
     oss << "  measured output headroom:  "
         << fmtBits(measuredHeadroomBits) << " bits\n";
-    if (latencyWarning) {
-        // Warn level: rendered, never fatal — see VerifyOptions.
-        oss << "warning (non-fatal):\n" << latencyWarning->render();
-    }
     if (failure)
         oss << failure->render();
-    return oss.str();
-}
-
-std::string
-renderLatencyTable(const std::vector<SimLayerLatency> &rows)
-{
-    if (rows.empty())
-        return "";
-    TablePrinter table({"Layer", "Predicted (ms)", "Simulated (ms)",
-                        "Error (%)"});
-    double predicted = 0.0;
-    double simulated = 0.0;
-    for (const auto &row : rows) {
-        predicted += row.predictedSeconds;
-        simulated += row.simulatedSeconds;
-        table.addRow({row.layer, fmtF(row.predictedSeconds * 1e3, 3),
-                      fmtF(row.simulatedSeconds * 1e3, 3),
-                      fmtF(row.errorFrac() * 100.0, 2)});
-    }
-    table.addSeparator();
-    const double totalErr =
-        predicted > 0.0
-            ? std::abs(simulated - predicted) / predicted
-            : 0.0;
-    table.addRow({"total", fmtF(predicted * 1e3, 3),
-                  fmtF(simulated * 1e3, 3),
-                  fmtF(totalErr * 100.0, 2)});
-    std::ostringstream oss;
-    table.print(oss);
     return oss.str();
 }
 
@@ -92,7 +59,6 @@ verifyAgainstPlaintext(const nn::Network &net,
     VerifyResult result;
     auto outcome = runtime.inferGuarded(input);
     result.backendName = outcome.backendName;
-    result.simulatedLatency = std::move(outcome.simulated);
     result.noiseBudget = std::move(outcome.budget);
     if (!result.noiseBudget.empty())
         result.predictedHeadroomBits =
@@ -165,33 +131,6 @@ verifyAgainstPlaintext(const nn::Network &net,
                         "): ciphertext state corrupted";
         report.trajectory = result.noiseBudget;
         result.failure = std::move(report);
-    }
-
-    // Predicted-vs-measured latency classification — the latency twin
-    // of the headroom check above, fed by a simulating backend's
-    // timeline. Gated at warn level: a divergent layer means the
-    // closed-form model and the event-driven schedule disagree, which
-    // is a performance-model bug to investigate, not a wrong result.
-    const SimLayerLatency *worst = nullptr;
-    for (const auto &row : result.simulatedLatency) {
-        const double err = row.errorFrac();
-        if (err > result.maxLatencyErrorFrac) {
-            result.maxLatencyErrorFrac = err;
-            worst = &row;
-        }
-    }
-    if (worst != nullptr &&
-        result.maxLatencyErrorFrac > options.latencyToleranceFrac) {
-        robustness::FailureReport report;
-        report.layer = "backend";
-        report.op = "latency";
-        report.reason =
-            "simulated latency of layer '" + worst->layer +
-            "' diverges from the DSE prediction by " +
-            fmtBits(result.maxLatencyErrorFrac * 100.0) +
-            "% (tolerance " +
-            fmtBits(options.latencyToleranceFrac * 100.0) + "%)";
-        result.latencyWarning = std::move(report);
     }
     return result;
 }

@@ -6,7 +6,9 @@
  * after, then lint and certificate of the rewritten plan) must match
  * the committed files under tests/analysis/golden byte for byte. A
  * change to the op semantics, the plan walk or any pass that moves one
- * character of these outputs fails here.
+ * character of these outputs fails here. So does a change to the
+ * fpga-sim replay text that `fxhenn verify --backend fpga-sim` and
+ * `fxhenn design --model mnist --backend fpga-sim` print.
  *
  * Regenerate on purpose with FXHENN_UPDATE_GOLDEN=1, which rewrites
  * the files instead of comparing, and review the diff.
@@ -20,6 +22,8 @@
 
 #include "src/analysis/pass_manager.hpp"
 #include "src/common/crc32.hpp"
+#include "src/dse/explorer.hpp"
+#include "src/fxhenn/framework.hpp"
 #include "src/hecnn/compiler.hpp"
 #include "src/hecnn/noise_cert.hpp"
 #include "src/hecnn/plan_io.hpp"
@@ -139,6 +143,34 @@ TEST(GoldenOutputs, Cifar10ValuesElided)
                  renderToolchain(compileWith(nn::buildCifar10Network(),
                                              ckks::cifar10Params(), 1,
                                              true)));
+}
+
+TEST(GoldenOutputs, FpgaSimVerifyLatencyTable)
+{
+    // What `fxhenn verify --backend fpga-sim` prints: the test
+    // network's plan replayed at the DSE winner on ACU9EG.
+    dse::ExploreOptions options;
+    options.replaySim = true;
+    const auto device = fpga::acu9eg();
+    const auto replay = dse::explore(
+        hecnn::compile(nn::buildTestNetwork(),
+                       ckks::testParams(2048, 7, 30)),
+        device, options);
+    expectGolden("fpga_sim_verify_test5l.txt",
+                 dse::renderReplayLatency(replay.simReplay, device));
+}
+
+TEST(GoldenOutputs, FpgaSimDesignReplayMnist)
+{
+    // What `fxhenn design --model mnist --backend fpga-sim` prints
+    // after the module allocation.
+    FxhennOptions options;
+    options.explore.replaySim = true;
+    const auto solution =
+        Fxhenn::generate(nn::buildMnistNetwork(), ckks::mnistParams(),
+                         fpga::acu9eg(), options);
+    expectGolden("fpga_sim_design_mnist.txt",
+                 dse::renderReplayCycles(solution.simReplay));
 }
 
 } // namespace

@@ -200,9 +200,9 @@ TEST_F(BatchedInferenceTest, WorkerCountDoesNotChangeBatchedResults)
 
 TEST_F(BatchedInferenceTest, FpgaSimBackendIsBitwiseIdenticalToCpu)
 {
-    // fpga-sim delegates its arithmetic to the cpu backend (it adds
-    // latency modeling, not different math), so batched logits must
-    // be bitwise equal across the two.
+    // fpga-sim runs the cpu arithmetic (its latency is the DSE
+    // replay, not different math), so batched logits must be bitwise
+    // equal across the two.
     const auto plan = batchedPlan(4);
     const auto batch = inputs(4, 640);
 

@@ -1,20 +1,17 @@
 /**
  * @file
- * The "fpga-sim" execution backend: bitwise identity with the cpu
- * path, per-layer timeline soundness against the DSE's closed-form
- * prediction, and the warn-level latency gate in hecnn::verify.
+ * The "fpga-sim" backend: bitwise identity with the cpu path, replay
+ * soundness against the DSE's closed-form prediction, and the
+ * warn-level latency gate the replay feeds.
  */
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/assert.hpp"
-#include "src/dse/sim_backend_install.hpp"
+#include "src/dse/explorer.hpp"
 #include "src/fpga/device.hpp"
-#include "src/fpga/sim_backend.hpp"
-#include "src/hecnn/backend.hpp"
 #include "src/hecnn/compiler.hpp"
 #include "src/hecnn/runtime.hpp"
 #include "src/hecnn/verify.hpp"
@@ -23,68 +20,7 @@
 namespace fxhenn::fpga {
 namespace {
 
-class SimBackend : public ::testing::Test
-{
-  protected:
-    static void SetUpTestSuite() { dse::installFpgaSimBackend(); }
-};
-
-/** Register a fixed-design sim backend under @p name (no DSE). */
-void
-registerFixedDesign(const std::string &name,
-                    std::vector<double> predictedLayerCycles = {})
-{
-    const bool installed = hecnn::registerBackend(
-        name, [name, predictedLayerCycles]() {
-            SimDesign design;
-            design.device = acu9eg();
-            design.alloc = ModuleAllocation{};
-            design.predictedLayerCycles = predictedLayerCycles;
-            auto resolver = [design](const hecnn::HeNetworkPlan &) {
-                return design;
-            };
-            return std::make_unique<PipelineSimBackend>(
-                std::move(resolver), name);
-        });
-    ASSERT_TRUE(installed) << "test backend name collision: " << name;
-}
-
-TEST_F(SimBackend, FixedDesignTimelineCoversEveryLayer)
-{
-    const std::string name = "sim-test-fixed";
-    registerFixedDesign(name);
-
-    const auto net = nn::buildTestNetwork();
-    const auto params = ckks::testParams(2048, 7, 30);
-    const auto plan = hecnn::compile(net, params);
-    ckks::CkksContext ctx(params);
-
-    hecnn::ExecOptions exec;
-    exec.backend = name;
-    hecnn::Runtime runtime(plan, ctx, 1, {}, exec);
-    const auto outcome =
-        runtime.inferGuarded(nn::syntheticInput(net, 1));
-    ASSERT_FALSE(outcome.failure.has_value());
-
-    ASSERT_EQ(outcome.simulated.size(), plan.layers.size());
-    double total = 0.0;
-    for (std::size_t i = 0; i < outcome.simulated.size(); ++i) {
-        const auto &row = outcome.simulated[i];
-        EXPECT_EQ(row.layer, plan.layers[i].name);
-        EXPECT_GT(row.simulatedCycles, 0.0);
-        EXPECT_GT(row.simulatedSeconds, 0.0);
-        EXPECT_GT(row.predictedCycles, 0.0)
-            << "empty predictedLayerCycles must fall back to the "
-               "closed-form model";
-        total += row.simulatedSeconds;
-    }
-    EXPECT_DOUBLE_EQ(outcome.simulatedSeconds(), total);
-    EXPECT_EQ(outcome.backendName, name);
-
-    EXPECT_TRUE(hecnn::unregisterBackend(name));
-}
-
-TEST_F(SimBackend, SimulatedRunIsBitwiseIdenticalToCpu)
+TEST(SimBackend, SimulatedRunIsBitwiseIdenticalToCpu)
 {
     const auto net = nn::buildTestNetwork();
     const auto params = ckks::testParams(2048, 7, 30);
@@ -107,81 +43,87 @@ TEST_F(SimBackend, SimulatedRunIsBitwiseIdenticalToCpu)
         EXPECT_EQ(logits[i], reference[i]) << "logit " << i;
 }
 
-TEST_F(SimBackend, VerifyLatencyMatchesDsePredictionWithinTolerance)
+TEST(SimBackend, VerifyLatencyMatchesDsePredictionWithinTolerance)
 {
     // The latency-soundness acceptance criterion: on the model zoo the
-    // event-driven simulated per-layer cost must agree with the DSE's
-    // closed-form prediction within the pinned tolerance (the same
-    // ±25 % the pipeline-sim cross-check pins, with headroom).
+    // event-driven simulated per-layer cost of the fpga-sim design
+    // point must agree with the DSE's closed-form prediction within
+    // the warning tolerance, on every layer of the plan.
+    const auto net = nn::buildTestNetwork();
+    const auto params = ckks::testParams(2048, 7, 30);
     hecnn::VerifyOptions options;
     options.backend = "fpga-sim";
-    const auto result = hecnn::verifyAgainstPlaintext(
-        nn::buildTestNetwork(), ckks::testParams(2048, 7, 30),
-        options);
-
+    const auto result = hecnn::verifyAgainstPlaintext(net, params, options);
     EXPECT_TRUE(result.passed()) << result.renderDiagnosis();
     EXPECT_EQ(result.backendName, "fpga-sim");
-    ASSERT_FALSE(result.simulatedLatency.empty());
-    EXPECT_LE(result.maxLatencyErrorFrac, 0.5)
-        << "simulated latency diverged from the DSE prediction";
-    EXPECT_FALSE(result.latencyWarning.has_value())
-        << result.latencyWarning->render();
 
-    const auto table =
-        hecnn::renderLatencyTable(result.simulatedLatency);
-    EXPECT_NE(table.find("Predicted"), std::string::npos);
-    EXPECT_NE(table.find(result.simulatedLatency.front().layer),
-              std::string::npos);
-}
-
-TEST_F(SimBackend, DivergentPredictionRaisesWarnLevelReport)
-{
-    // A fabricated design point predicting 1 cycle per layer: the
-    // simulated cost diverges wildly, which must surface as the
-    // warn-level FailureReport (layer "backend", op "latency") and
-    // must NOT fail the run — wrong performance model, right crypto.
-    const std::string name = "sim-test-bogus-prediction";
-    registerFixedDesign(name, std::vector<double>(16, 1.0));
-
-    hecnn::VerifyOptions options;
-    options.backend = name;
-    const auto result = hecnn::verifyAgainstPlaintext(
-        nn::buildTestNetwork(), ckks::testParams(2048, 7, 30),
-        options);
-
-    EXPECT_TRUE(result.passed()) << result.renderDiagnosis();
-    ASSERT_TRUE(result.latencyWarning.has_value());
-    EXPECT_EQ(result.latencyWarning->layer, "backend");
-    EXPECT_EQ(result.latencyWarning->op, "latency");
-    EXPECT_GT(result.maxLatencyErrorFrac,
-              options.latencyToleranceFrac);
-    EXPECT_NE(result.renderDiagnosis().find("warning (non-fatal)"),
-              std::string::npos);
-
-    EXPECT_TRUE(hecnn::unregisterBackend(name));
-}
-
-TEST_F(SimBackend, TightToleranceTripsTheWarningGate)
-{
-    hecnn::VerifyOptions options;
-    options.backend = "fpga-sim";
-    options.latencyToleranceFrac = 1e-12;
-    // Drive the tolerance to ~zero: any layer with nonzero error trips
-    // the gate; a run with exactly zero error everywhere legitimately
-    // stays clean, so assert the invariant rather than the trip.
-    const auto result = hecnn::verifyAgainstPlaintext(
-        nn::buildTestNetwork(), ckks::testParams(2048, 7, 30),
-        options);
-    EXPECT_TRUE(result.passed()) << "latency gate must stay warn-level";
-    if (result.maxLatencyErrorFrac > options.latencyToleranceFrac) {
-        ASSERT_TRUE(result.latencyWarning.has_value());
-        EXPECT_EQ(result.latencyWarning->op, "latency");
-    } else {
-        EXPECT_FALSE(result.latencyWarning.has_value());
+    const auto plan = hecnn::compile(net, params);
+    dse::ExploreOptions explore;
+    explore.replaySim = true;
+    const auto replay = dse::explore(plan, acu9eg(), explore);
+    ASSERT_EQ(replay.simReplay.size(), plan.layers.size());
+    for (std::size_t i = 0; i < plan.layers.size(); ++i) {
+        EXPECT_EQ(replay.simReplay[i].layer, plan.layers[i].name);
+        EXPECT_GT(replay.simReplay[i].simulatedCycles, 0.0);
+        EXPECT_GT(replay.simReplay[i].predictedCycles, 0.0);
     }
+    EXPECT_LE(replay.simReplayMaxErrorFrac, dse::kReplayToleranceFrac)
+        << "simulated latency diverged from the DSE prediction";
+    const auto warning = dse::replayWarning(replay.simReplay);
+    EXPECT_FALSE(warning.has_value()) << warning->render();
+
+    const auto table = dse::renderReplayLatency(replay.simReplay, acu9eg());
+    EXPECT_NE(table.find("Predicted"), std::string::npos);
+    EXPECT_NE(table.find(plan.layers.front().name), std::string::npos);
 }
 
-TEST_F(SimBackend, UnknownBackendNameThrowsConfigError)
+TEST(SimBackend, DivergentPredictionRaisesWarnLevelReport)
+{
+    // A fabricated replay whose second layer the closed form
+    // under-predicts 3x: the gate names that layer at warn level
+    // (layer "backend", op "latency") — wrong performance model,
+    // never a failed inference.
+    const std::vector<dse::ReplayRow> rows = {
+        {"Cnv1", 100.0, 110.0, 0.1},
+        {"Fc1", 100.0, 300.0, 2.0},
+        {"Fc2", 100.0, 120.0, 0.2},
+    };
+
+    const auto warning = dse::replayWarning(rows);
+    ASSERT_TRUE(warning.has_value());
+    EXPECT_EQ(warning->layer, "backend");
+    EXPECT_EQ(warning->op, "latency");
+    EXPECT_NE(warning->reason.find("'Fc1'"), std::string::npos)
+        << warning->reason;
+    EXPECT_NE(warning->render().find("latency"), std::string::npos);
+}
+
+TEST(SimBackend, TightToleranceTripsTheWarningGate)
+{
+    // The gate trips strictly above dse::kReplayToleranceFrac: a row
+    // exactly at the tolerance stays quiet, one just above it trips.
+    std::vector<dse::ReplayRow> rows = {
+        {"Cnv1", 100.0, 150.0, dse::kReplayToleranceFrac},
+    };
+    EXPECT_FALSE(dse::replayWarning(rows).has_value());
+    rows[0].errorFrac = dse::kReplayToleranceFrac + 1e-12;
+    const auto tripped = dse::replayWarning(rows);
+    ASSERT_TRUE(tripped.has_value());
+    EXPECT_EQ(tripped->op, "latency");
+    EXPECT_FALSE(dse::replayWarning({}).has_value());
+
+    // On the real replay of the test plan the gate fires exactly when
+    // the worst layer's error exceeds the tolerance.
+    const auto plan = hecnn::compile(nn::buildTestNetwork(),
+                                     ckks::testParams(2048, 7, 30));
+    dse::ExploreOptions explore;
+    explore.replaySim = true;
+    const auto replay = dse::explore(plan, acu9eg(), explore);
+    EXPECT_EQ(dse::replayWarning(replay.simReplay).has_value(),
+              replay.simReplayMaxErrorFrac > dse::kReplayToleranceFrac);
+}
+
+TEST(SimBackend, UnknownBackendNameThrowsConfigError)
 {
     const auto net = nn::buildTestNetwork();
     const auto params = ckks::testParams(2048, 7, 30);

@@ -1,47 +1,21 @@
 /**
  * @file
- * Execution-backend registry contract: built-in registration, the
- * first-install-wins hook discipline (parity with setPlanVerifier),
- * ConfigError on unknown lookups, and the --backend / FXHENN_BACKEND
- * resolution precedence. The CLI exit-code side of the same contract
- * lives in tests/cli/test_cli_errors.sh.
+ * Execution-backend name contract: the three names resolve, ConfigError
+ * lists them for an unknown name, and the --backend / FXHENN_BACKEND
+ * resolution precedence holds. The CLI exit-code side of the same
+ * contract lives in tests/cli/test_cli_errors.sh.
  */
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
-#include <memory>
 #include <optional>
 #include <string>
 
 #include "src/common/assert.hpp"
-#include "src/dse/sim_backend_install.hpp"
 #include "src/hecnn/backend.hpp"
 
 namespace fxhenn::hecnn {
 namespace {
-
-/** A trivially identifiable stub backend for registry tests. */
-class StubBackend : public ExecutionBackend
-{
-  public:
-    explicit StubBackend(std::string name) : name_(std::move(name)) {}
-    const std::string &name() const override { return name_; }
-    std::unique_ptr<BackendRun>
-    beginRun(const BackendRunContext &ctx) const override
-    {
-        return makeCpuBackendRun(ctx);
-    }
-
-  private:
-    std::string name_;
-};
-
-BackendFactory
-stubFactory(const std::string &name)
-{
-    return [name]() { return std::make_unique<StubBackend>(name); };
-}
 
 /** Restores FXHENN_BACKEND so tests cannot leak a forced backend. */
 class EnvGuard
@@ -67,82 +41,23 @@ class EnvGuard
 
 TEST(BackendRegistry, BuiltinsAreRegistered)
 {
-    EXPECT_TRUE(backendRegistered("cpu"));
-    EXPECT_TRUE(backendRegistered("cpu-ref"));
-    EXPECT_FALSE(backendRegistered("no-such-backend"));
-}
-
-TEST(BackendRegistry, FpgaSimInstallerRegistersAndIsIdempotent)
-{
-    // Mirrors analysis::installPlanVerifier(): the first call installs,
-    // later calls are no-ops that leave the original resolver in place.
-    dse::installFpgaSimBackend();
-    EXPECT_TRUE(backendRegistered("fpga-sim"));
-    dse::installFpgaSimBackend();
-    EXPECT_TRUE(backendRegistered("fpga-sim"));
-}
-
-TEST(BackendRegistry, FirstInstallationWins)
-{
-    const std::string name = "registry-test-first-wins";
-    ASSERT_TRUE(registerBackend(name, stubFactory(name)));
-    // A second registration under the same name must be refused and
-    // must not displace the original factory.
-    EXPECT_FALSE(registerBackend(
-        name, []() -> std::unique_ptr<ExecutionBackend> {
-            FXHENN_PANIC_IF(true,
-                            "displaced factory must never be invoked");
-            return nullptr;
-        }));
-    const auto backend = createBackend(name);
-    ASSERT_NE(backend, nullptr);
-    EXPECT_EQ(backend->name(), name);
-    EXPECT_TRUE(unregisterBackend(name));
-    EXPECT_FALSE(backendRegistered(name));
-}
-
-TEST(BackendRegistry, DuplicateBuiltinRegistrationIsRefused)
-{
-    EXPECT_FALSE(registerBackend("cpu", stubFactory("cpu")));
-    const auto backend = createBackend("cpu");
-    ASSERT_NE(backend, nullptr);
-    EXPECT_FALSE(backend->simulatesLatency())
-        << "the real cpu backend must have survived the duplicate "
-           "registration attempt";
-}
-
-TEST(BackendRegistry, BuiltinsCannotBeUnregistered)
-{
-    EXPECT_FALSE(unregisterBackend("cpu"));
-    EXPECT_FALSE(unregisterBackend("cpu-ref"));
-    EXPECT_TRUE(backendRegistered("cpu"));
-    EXPECT_TRUE(backendRegistered("cpu-ref"));
+    for (const std::string name : {"cpu", "cpu-ref", "fpga-sim"})
+        EXPECT_EQ(resolveBackendName(name), name);
+    EXPECT_THROW(resolveBackendName("no-such-backend"), ConfigError);
 }
 
 TEST(BackendRegistry, UnknownLookupThrowsConfigErrorListingNames)
 {
     try {
-        createBackend("definitely-not-registered");
+        resolveBackendName("definitely-not-registered");
         FAIL() << "expected ConfigError";
     } catch (const ConfigError &e) {
         const std::string what = e.what();
         EXPECT_NE(what.find("definitely-not-registered"),
                   std::string::npos);
-        EXPECT_NE(what.find("cpu"), std::string::npos)
-            << "the error must list the registered names";
+        EXPECT_NE(what.find("cpu, cpu-ref, fpga-sim"), std::string::npos)
+            << "the error must list the backend names: " << what;
     }
-}
-
-TEST(BackendRegistry, RegisteredNamesAreSortedAndContainBuiltins)
-{
-    const auto names = registeredBackendNames();
-    ASSERT_GE(names.size(), 2u);
-    for (std::size_t i = 1; i < names.size(); ++i)
-        EXPECT_LT(names[i - 1], names[i]);
-    EXPECT_NE(std::find(names.begin(), names.end(), "cpu"),
-              names.end());
-    EXPECT_NE(std::find(names.begin(), names.end(), "cpu-ref"),
-              names.end());
 }
 
 TEST(BackendRegistry, ResolvePrecedenceExplicitOverEnvOverDefault)

@@ -98,16 +98,19 @@ TEST(HoistDifferential, ZooInferenceIsBitwiseIdenticalAcrossStrategies)
     PlaintextPool pool(plan, ctx);
 
     ExecOptions fast; // defaults: hoisting on, lazy keyswitch
-    ExecOptions reference;
+    fast.backend = "cpu";
+    ExecOptions reference; // eager keyswitch, scalar kernels
     reference.hoistRotations = false;
-    reference.kswMode = ckks::KswMode::eager;
+    reference.backend = "cpu-ref";
     const PlanExecutor optimized(plan, ctx, session.relinKey(),
                                  session.galoisKeys(), pool, {}, fast);
-    const PlanExecutor eager(plan, ctx, session.relinKey(),
-                             session.galoisKeys(), pool, {}, reference);
-
     const auto input = nn::syntheticInput(net, 12);
     const auto a = optimized.execute(session.encryptInput({&input}, 0));
+
+    // Built after the optimized run: cpu-ref pins the scalar kernels
+    // for its lifetime.
+    const PlanExecutor eager(plan, ctx, session.relinKey(),
+                             session.galoisKeys(), pool, {}, reference);
     const auto b = eager.execute(session.encryptInput({&input}, 0));
 
     ASSERT_FALSE(a.degraded());
