@@ -10,13 +10,11 @@
  * fpga-sim replay text that `fxhenn verify --backend fpga-sim` and
  * `fxhenn design --model mnist --backend fpga-sim` print.
  *
- * Regenerate on purpose with FXHENN_UPDATE_GOLDEN=1, which rewrites
- * the files instead of comparing, and review the diff.
+ * Regenerate on purpose with FXHENN_UPDATE_GOLDEN=1 (tests/golden.hpp)
+ * and review the diff.
  */
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -29,6 +27,7 @@
 #include "src/hecnn/plan_io.hpp"
 #include "src/hecnn/rescale_rewriter.hpp"
 #include "src/nn/model_zoo.hpp"
+#include "tests/golden.hpp"
 
 namespace fxhenn::analysis {
 namespace {
@@ -66,41 +65,6 @@ renderToolchain(hecnn::HeNetworkPlan plan)
         << "== noise certificate after rewrite ==\n"
         << hecnn::certifyPlan(plan).renderJson();
     return out.str();
-}
-
-void
-expectGolden(const std::string &file, const std::string &actual)
-{
-    const std::string path = std::string(FXHENN_GOLDEN_DIR) + "/" + file;
-    if (std::getenv("FXHENN_UPDATE_GOLDEN") != nullptr) {
-        std::ofstream(path, std::ios::binary) << actual;
-        return;
-    }
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in) << "missing golden file " << path;
-    std::ostringstream expected;
-    expected << in.rdbuf();
-    if (expected.str() == actual)
-        return;
-    // Point at the first line that differs; the whole file is in the
-    // repository for a full diff.
-    std::istringstream want(expected.str());
-    std::istringstream got(actual);
-    std::string wantLine;
-    std::string gotLine;
-    for (std::size_t line = 1;; ++line) {
-        const bool moreWant = static_cast<bool>(std::getline(want, wantLine));
-        const bool moreGot = static_cast<bool>(std::getline(got, gotLine));
-        if (!moreWant && !moreGot)
-            break;
-        if (moreWant != moreGot || wantLine != gotLine) {
-            ADD_FAILURE() << path << " differs at line " << line
-                          << "\n  golden: " << (moreWant ? wantLine : "<eof>")
-                          << "\n  actual: " << (moreGot ? gotLine : "<eof>");
-            return;
-        }
-    }
-    ADD_FAILURE() << path << " differs (line endings)";
 }
 
 hecnn::HeNetworkPlan
