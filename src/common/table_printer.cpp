@@ -14,6 +14,12 @@ namespace fxhenn {
 namespace {
 /** Sentinel row meaning "print a separator line here". */
 const std::string kSeparatorTag = "\x01separator";
+
+bool
+isSeparator(const std::vector<std::string> &row)
+{
+    return row.size() == 1 && row[0] == kSeparatorTag;
+}
 } // namespace
 
 TablePrinter::TablePrinter(std::vector<std::string> header)
@@ -43,7 +49,7 @@ TablePrinter::print(std::ostream &os) const
     for (std::size_t c = 0; c < header_.size(); ++c)
         width[c] = header_[c].size();
     for (const auto &row : rows_) {
-        if (row.size() == 1 && row[0] == kSeparatorTag)
+        if (isSeparator(row))
             continue;
         for (std::size_t c = 0; c < row.size(); ++c)
             width[c] = std::max(width[c], row[c].size());
@@ -66,12 +72,11 @@ TablePrinter::print(std::ostream &os) const
     rule();
     line(header_);
     rule();
-    for (const auto &row : rows_) {
-        if (row.size() == 1 && row[0] == kSeparatorTag) {
+    for (std::size_t r = 0; r < rows_.size(); ++r) {
+        if (!isSeparator(rows_[r]))
+            line(rows_[r]);
+        else if (r + 1 < rows_.size()) // the closing rule ends the table
             rule();
-        } else {
-            line(row);
-        }
     }
     rule();
 }

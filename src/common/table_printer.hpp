@@ -30,7 +30,8 @@ class TablePrinter
     /** Append one row; must have the same arity as the header. */
     void addRow(std::vector<std::string> cells);
 
-    /** Insert a horizontal separator line before the next row. */
+    /** Insert a horizontal separator line before the next row (none
+     *  if no row follows: the closing rule ends the table). */
     void addSeparator();
 
     /** Render the table to @p os with aligned columns. */

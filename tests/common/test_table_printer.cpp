@@ -54,5 +54,15 @@ TEST(TablePrinter, SeparatorDoesNotBreakAlignment)
     EXPECT_NE(oss.str().find('+'), std::string::npos);
 }
 
+TEST(TablePrinter, TrailingSeparatorPrintsOneClosingRule)
+{
+    TablePrinter t({"A"});
+    t.addRow({"x"});
+    t.addSeparator();
+    std::ostringstream oss;
+    t.print(oss);
+    EXPECT_EQ(oss.str(), "+---+\n| A |\n+---+\n| x |\n+---+\n");
+}
+
 } // namespace
 } // namespace fxhenn
