@@ -8,11 +8,9 @@
  *  - "cpu": the reference path — lazy keyswitching under whatever SIMD
  *    level FXHENN_SIMD resolved. Every other name must decrypt
  *    bitwise identical to it.
- *  - "cpu-ref": differential-debugging path — eager keyswitching, and
- *    the scalar modular-arithmetic kernels pinned for the lifetime of
- *    the executor. The pin is process-global (the SIMD dispatch table
- *    is), which is safe because all kernel levels are bitwise
- *    identical; only timing changes for concurrent runs.
+ *  - "cpu-ref": differential-debugging path — eager keyswitching under
+ *    the same SIMD level as "cpu". The scalar kernels are a separate
+ *    axis: FXHENN_SIMD=scalar selects them for the whole process.
  *  - "fpga-sim": the cpu arithmetic. Its per-layer latency is the DSE
  *    replay of the plan (dse::ExploreOptions::replaySim), which the
  *    CLI prints for verify, batch and design.

@@ -41,8 +41,6 @@ PlanExecutor::PlanExecutor(const HeNetworkPlan &plan,
     FXHENN_FATAL_IF(plan.valuesElided,
                     "plan was compiled with elideValues=true and "
                     "cannot be executed");
-    if (backendName_ == "cpu-ref")
-        scalarPin_.emplace(simd::Level::scalar);
 }
 
 void

@@ -33,7 +33,6 @@
 #include "src/hecnn/plaintext_pool.hpp"
 #include "src/hecnn/plan.hpp"
 #include "src/hecnn/stats.hpp"
-#include "src/modarith/simd_dispatch.hpp"
 #include "src/robustness/guard.hpp"
 
 namespace fxhenn::hecnn {
@@ -50,7 +49,7 @@ struct ExecOptions
     bool hoistRotations = true;
     /**
      * Execution backend of this executor: "cpu", "cpu-ref" (eager
-     * keyswitching, scalar kernels) or "fpga-sim" (see
+     * keyswitching) or "fpga-sim" (see
      * src/hecnn/backend.hpp). Empty resolves the FXHENN_BACKEND
      * environment variable and falls back to "cpu"
      * (hecnn::resolveBackendName()); an unknown name is a ConfigError
@@ -183,9 +182,6 @@ class PlanExecutor
     /** Keyswitch strategy of the per-run evaluators (eager under
      * "cpu-ref", lazy otherwise). */
     ckks::KswMode kswMode_;
-    /** Scalar kernels, held for the executor's lifetime under
-     * "cpu-ref". */
-    std::optional<simd::ScopedLevel> scalarPin_;
     GuardPrediction prediction_;
 };
 

@@ -16,6 +16,7 @@
 #include "src/hecnn/compiler.hpp"
 #include "src/hecnn/plan_executor.hpp"
 #include "src/hecnn/rotation_groups.hpp"
+#include "src/modarith/simd_dispatch.hpp"
 #include "src/nn/model_zoo.hpp"
 #include "src/telemetry/telemetry.hpp"
 
@@ -99,7 +100,7 @@ TEST(HoistDifferential, ZooInferenceIsBitwiseIdenticalAcrossStrategies)
 
     ExecOptions fast; // defaults: hoisting on, lazy keyswitch
     fast.backend = "cpu";
-    ExecOptions reference; // eager keyswitch, scalar kernels
+    ExecOptions reference; // eager keyswitch, run on the scalar kernels
     reference.hoistRotations = false;
     reference.backend = "cpu-ref";
     const PlanExecutor optimized(plan, ctx, session.relinKey(),
@@ -107,11 +108,15 @@ TEST(HoistDifferential, ZooInferenceIsBitwiseIdenticalAcrossStrategies)
     const auto input = nn::syntheticInput(net, 12);
     const auto a = optimized.execute(session.encryptInput({&input}, 0));
 
-    // Built after the optimized run: cpu-ref pins the scalar kernels
-    // for its lifetime.
-    const PlanExecutor eager(plan, ctx, session.relinKey(),
-                             session.galoisKeys(), pool, {}, reference);
-    const auto b = eager.execute(session.encryptInput({&input}, 0));
+    // The reference run also uses the scalar kernels, so the two runs
+    // differ in SIMD level as well as keyswitch and rotation strategy.
+    const auto b = [&] {
+        simd::ScopedLevel scalar(simd::Level::scalar);
+        const PlanExecutor eager(plan, ctx, session.relinKey(),
+                                 session.galoisKeys(), pool, {},
+                                 reference);
+        return eager.execute(session.encryptInput({&input}, 0));
+    }();
 
     ASSERT_FALSE(a.degraded());
     ASSERT_FALSE(b.degraded());
