@@ -16,35 +16,41 @@ Network::addLayer(std::unique_ptr<Layer> layer)
     layers_.push_back(std::move(layer));
 }
 
+namespace {
+
+/**
+ * Runs @p layers in order on @p input, appending each layer's output to
+ * @p trace when it is non-null. Only a dense layer sees its input
+ * flattened; a square keeps the shape, so a convolution may follow it.
+ */
+Tensor
+run(const std::vector<std::unique_ptr<Layer>> &layers, const Tensor &input,
+    std::vector<Tensor> *trace)
+{
+    Tensor current = input;
+    for (const auto &layer : layers) {
+        current = layer->kind() == LayerKind::dense
+                      ? layer->forward(current.flattened())
+                      : layer->forward(current);
+        if (trace != nullptr)
+            trace->push_back(current);
+    }
+    return current;
+}
+
+} // namespace
+
 Tensor
 Network::forward(const Tensor &input) const
 {
-    Tensor current = input;
-    for (const auto &layer : layers_) {
-        if (layer->kind() == LayerKind::dense ||
-            layer->kind() == LayerKind::square) {
-            current = layer->forward(current.flattened());
-        } else {
-            current = layer->forward(current);
-        }
-    }
-    return current;
+    return run(layers_, input, nullptr);
 }
 
 std::vector<Tensor>
 Network::forwardTrace(const Tensor &input) const
 {
     std::vector<Tensor> trace;
-    Tensor current = input;
-    for (const auto &layer : layers_) {
-        if (layer->kind() == LayerKind::dense ||
-            layer->kind() == LayerKind::square) {
-            current = layer->forward(current.flattened());
-        } else {
-            current = layer->forward(current);
-        }
-        trace.push_back(current);
-    }
+    run(layers_, input, &trace);
     return trace;
 }
 

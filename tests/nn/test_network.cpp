@@ -59,6 +59,18 @@ TEST(Network, ForwardTraceShapesChain)
     EXPECT_EQ(trace[4].size(), 3u);
 }
 
+TEST(Network, Cifar10ForwardTraceKeepsShapeThroughSquare)
+{
+    // Cnv1 -> Act1 -> Cnv2: the second convolution needs the square's
+    // output in its 3-d shape.
+    const Network net = buildCifar10Network();
+    const auto trace = net.forwardTrace(syntheticInput(net, 5));
+    ASSERT_EQ(trace.size(), net.layerCount());
+    for (std::size_t i = 0; i < trace.size(); ++i)
+        EXPECT_EQ(trace[i].size(), net.layer(i).outputSize())
+            << net.layer(i).name();
+}
+
 TEST(Network, MacsRatioMatchesTableIV)
 {
     // Table IV: plain-CNN MAC ratio Fc1 / Cnv1 = 4X for LoLa-MNIST.
