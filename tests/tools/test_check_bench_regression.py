@@ -64,10 +64,6 @@ identity_file = here / "identity.txt"
 if identity_file.exists():
     doc["counters"] = {name: 1 for name in
                        identity_file.read_text().split()}
-# Doc-level batch-size stamp, mirroring bench_throughput's JSON.
-batch_file = here / "batch.txt"
-if batch_file.exists():
-    doc["batch_size"] = int(batch_file.read_text())
 Path(out).write_text(json.dumps(doc))
 '''
 
@@ -85,22 +81,14 @@ class CheckBenchRegressionTest(unittest.TestCase):
         self.baseline = self.tmp / "baseline.json"
         self.write_baseline(count=100, mean=self.BASELINE_MEAN)
 
-    def write_baseline(self, count, mean, metric=METRIC,
-                       identity=(), batch_size=None, batch_sizes=None):
+    def write_baseline(self, count, mean, metric=METRIC, identity=()):
         doc = {"histograms": {metric: {"count": count, "mean": mean}}}
         if identity:
             doc["counters"] = {name: 1 for name in identity}
-        if batch_size is not None:
-            doc["batch_size"] = batch_size
-        if batch_sizes is not None:
-            doc["batch_sizes"] = batch_sizes
         self.baseline.write_text(json.dumps(doc))
 
     def stamp_bench_identity(self, *names):
         (self.tmp / "identity.txt").write_text("\n".join(names))
-
-    def stamp_bench_batch_size(self, batch_size):
-        (self.tmp / "batch.txt").write_text(str(batch_size))
 
     def schedule(self, *entries):
         (self.tmp / "schedule.txt").write_text(
@@ -232,40 +220,6 @@ class CheckBenchRegressionTest(unittest.TestCase):
         proc = self.run_gate()
         self.assertNotEqual(proc.returncode, 0)
         self.assertIn("(unstamped)", proc.stderr)
-
-    def test_cross_batch_size_comparison_is_refused(self):
-        # Per-request means taken at different slot-batch sizes measure
-        # different ciphertext packings: a B = 1 baseline must never
-        # gate a B = 16 run.
-        self.write_baseline(count=100, mean=self.BASELINE_MEAN,
-                            batch_size=1)
-        self.stamp_bench_batch_size(16)
-        self.schedule(self.BASELINE_MEAN)
-        proc = self.run_gate()
-        self.assertNotEqual(proc.returncode, 0)
-        self.assertIn("refusing to compare across execution "
-                      "identities", proc.stderr)
-        self.assertIn("bench.batch_size.", proc.stderr)
-
-    def test_matching_batch_size_passes(self):
-        self.write_baseline(count=100, mean=self.BASELINE_MEAN,
-                            batch_size=4)
-        self.stamp_bench_batch_size(4)
-        self.schedule(self.BASELINE_MEAN)
-        proc = self.run_gate()
-        self.assertEqual(proc.returncode, 0, proc.stderr)
-        self.assertIn("OK: within threshold", proc.stdout)
-
-    def test_doc_level_batch_sizes_list_folds_into_identity(self):
-        # The throughput baseline records the whole sweep as a
-        # "batch_sizes" list; an unbatched run cannot gate against it.
-        self.write_baseline(count=100, mean=self.BASELINE_MEAN,
-                            batch_sizes=[1, 4, 16])
-        self.schedule(self.BASELINE_MEAN)
-        proc = self.run_gate()
-        self.assertNotEqual(proc.returncode, 0)
-        self.assertIn("refusing to compare across execution "
-                      "identities", proc.stderr)
 
     def test_committed_baseline_is_stamped_with_cpu_backend(self):
         # The committed BENCH_kernels.json must carry the identity

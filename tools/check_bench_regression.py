@@ -55,21 +55,10 @@ def histogram_mean_of(doc: dict, telemetry_path: Path,
 
 def execution_identity(doc: dict) -> tuple:
     """Identity counters of a telemetry doc (sorted; may be empty for
-    baselines predating the identity stamp). Doc-level batch-size
-    fields (BENCH_throughput.json) fold into the identity too: means
-    taken at different slot-batch sizes measure different ciphertext
-    packings and must never be cross-compared."""
+    baselines predating the identity stamp)."""
     counters = doc.get("counters", {})
-    identity = [name for name in counters
-                if name.startswith(IDENTITY_PREFIXES)]
-    if "batch_size" in doc:
-        identity.append(f"bench.batch_size.{doc['batch_size']}")
-    sizes = doc.get("batch_sizes")
-    if isinstance(sizes, list):
-        identity.extend(f"bench.batch_size.{b}" for b in sizes)
-    elif sizes is not None:
-        identity.append(f"bench.batch_size.{sizes}")
-    return tuple(sorted(set(identity)))
+    return tuple(sorted(name for name in counters
+                        if name.startswith(IDENTITY_PREFIXES)))
 
 
 def check_same_identity(baseline_path: Path, baseline_doc: dict,
@@ -83,7 +72,7 @@ def check_same_identity(baseline_path: Path, baseline_doc: dict,
             f"{list(base_id) or '(unstamped)'} but the bench run "
             f"{run_path} under {list(run_id) or '(unstamped)'}; "
             "regenerate the baseline under the same FXHENN_BACKEND / "
-            "FXHENN_SIMD configuration and the same batch size"
+            "FXHENN_SIMD configuration"
         )
 
 
